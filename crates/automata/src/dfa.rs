@@ -89,7 +89,6 @@ impl PosStepper for GlushkovDfaMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::Matcher;
     use redet_syntax::parse_with_alphabet;
     use redet_syntax::Alphabet;
 
@@ -167,24 +166,19 @@ mod tests {
     }
 
     #[test]
-    fn streaming_interface() {
-        use crate::matcher::{Session, Step};
+    fn stepping_interface() {
         let mut sigma = Alphabet::new();
         let m = matcher("a (b c)*", &mut sigma);
         let a = sigma.intern("a");
         let b = sigma.intern("b");
         let c = sigma.intern("c");
-        let mut s = m.session();
-        assert!(!s.accepts());
-        assert_eq!(s.feed(a), Step::Advanced);
-        assert!(s.accepts());
-        assert_eq!(s.feed(b), Step::Advanced);
-        assert!(!s.accepts());
-        assert_eq!(s.feed(c), Step::Advanced);
-        assert!(s.accepts());
-        // A second `c` has no continuation: the witness names event 3.
-        let step = s.feed(c);
-        assert_eq!(step.witness().map(|w| (w.event, w.symbol)), Some((3, c)));
-        assert!(!s.accepts());
+        let mut p = m.begin();
+        assert!(!m.can_end(p));
+        for (sym, accepts) in [(a, true), (b, false), (c, true)] {
+            p = m.advance(p, sym).expect("member prefix");
+            assert_eq!(m.can_end(p), accepts);
+        }
+        // A second `c` has no continuation.
+        assert_eq!(m.advance(p, c), None);
     }
 }

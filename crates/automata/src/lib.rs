@@ -29,6 +29,6 @@ pub mod unroll;
 pub use determinism::{glushkov_determinism, NonDeterminismWitness};
 pub use dfa::GlushkovDfaMatcher;
 pub use glushkov::GlushkovAutomaton;
-pub use matcher::{Matcher, PosSession, PosState, PosStepper, RejectWitness, Session, Step};
-pub use nfa::{NfaScratch, NfaSession, NfaSimulationMatcher, NfaState};
+pub use matcher::PosStepper;
+pub use nfa::{NfaScratch, NfaSimulationMatcher};
 pub use unroll::unroll_counting;

@@ -1,151 +1,23 @@
-//! The common matching interface shared by baselines and the paper's
-//! matchers: incremental **sessions**.
+//! The common stepping interface shared by baselines and the paper's
+//! matchers: **transition simulation** over single positions.
 //!
-//! All matchers in this workspace are *streaming* (Section 1: "all our
-//! matching algorithms are streamable"): a word is validated one symbol at
-//! a time through a cursor — a [`Session`] — opened with
-//! [`Matcher::start`]. Feeding a symbol either advances the session or
-//! rejects it with a [`RejectWitness`] naming the offending event; because
-//! every matcher simulates a *deterministic* automaton (or a set-of-positions
-//! closure of one), a rejection at event `i` means **no extension** of the
-//! first `i` symbols belongs to the language — callers such as a document
-//! validator can stop early and report the exact failure point.
-//!
-//! The whole-word convenience [`Matcher::matches`] is a thin loop over a
-//! session, so there is exactly one matching code path.
-//!
-//! Sessions that need per-word buffers (e.g. the set-of-positions NFA
-//! simulation) take them from a caller-owned [`Matcher::Scratch`] value and
-//! hand them back through [`Session::into_scratch`]; recycling the scratch
-//! across words keeps steady-state matching allocation-free.
+//! Section 4 defines matching as transition simulation: "begin with
+//! position #, use the transition simulation procedure iteratively, and
+//! finally test if the position obtained after processing the last symbol
+//! of w is followed by $". [`PosStepper`] is exactly that: the caller keeps
+//! the current [`PosId`], [`PosStepper::advance`] is the per-symbol step,
+//! and [`PosStepper::matches`] is the whole-word loop over it. Because
+//! every implementor simulates a *deterministic* automaton, `advance`
+//! returning `None` at event `i` means **no extension** of the first `i`
+//! symbols belongs to the language — callers such as a document validator
+//! can stop early and report the exact failure point.
 
 use redet_syntax::Symbol;
 use redet_tree::PosId;
 
-/// Evidence for a rejection: the event index (0-based position in the fed
-/// word) and the symbol that could not be consumed. By determinism, no
-/// extension of the prefix fed before this event is in the language.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RejectWitness {
-    /// Index of the offending symbol among the symbols fed to the session.
-    pub event: usize,
-    /// The symbol that had no continuation.
-    pub symbol: Symbol,
-}
-
-/// Outcome of feeding one symbol to a [`Session`].
-///
-/// Marked `#[non_exhaustive]`: later revisions may report finer-grained
-/// outcomes (e.g. advancing into a state that cannot accept any more) —
-/// match through [`Step::is_advanced`] / [`Step::witness`] or keep a
-/// wildcard arm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Step {
-    /// The symbol was consumed; the prefix read so far is still viable.
-    Advanced,
-    /// The symbol has no continuation: no word of the language starts with
-    /// the symbols fed so far. Feeding a rejected session again keeps
-    /// returning the witness of the *first* failure.
-    Rejected(RejectWitness),
-}
-
-impl Step {
-    /// Whether the step consumed the symbol.
-    #[inline]
-    pub fn is_advanced(&self) -> bool {
-        matches!(self, Step::Advanced)
-    }
-
-    /// The rejection witness, if the step rejected.
-    #[inline]
-    pub fn witness(&self) -> Option<RejectWitness> {
-        match self {
-            Step::Advanced => None,
-            Step::Rejected(w) => Some(*w),
-        }
-    }
-}
-
-/// An incremental matching cursor over one fixed expression: feed symbols
-/// one at a time, ask for acceptance at any point.
-pub trait Session: Sized {
-    /// The reusable buffer type this session was opened with (see
-    /// [`Matcher::Scratch`]).
-    type Scratch;
-
-    /// Consumes one symbol. After a rejection the session is dead: further
-    /// feeds return the original witness and [`Session::accepts`] is false.
-    fn feed(&mut self, symbol: Symbol) -> Step;
-
-    /// Whether the word fed so far belongs to the language.
-    fn accepts(&self) -> bool;
-
-    /// Number of symbols successfully consumed so far.
-    fn events(&self) -> usize;
-
-    /// The witness of the first rejection, if the session is dead.
-    fn rejection(&self) -> Option<RejectWitness>;
-
-    /// Closes the session, recovering the scratch for reuse by a later
-    /// session.
-    fn into_scratch(self) -> Self::Scratch;
-}
-
-/// A word-membership tester for one fixed regular expression, exposed as a
-/// factory of incremental [`Session`]s.
-pub trait Matcher {
-    /// Reusable per-session buffers; `Default` produces an empty scratch
-    /// (which allocates lazily on first use). Matchers whose entire state is
-    /// a single position use `()`.
-    type Scratch: Default;
-
-    /// The session type produced by [`Matcher::start`].
-    type Session<'m>: Session<Scratch = Self::Scratch>
-    where
-        Self: 'm;
-
-    /// Opens a session, taking ownership of `scratch` (recover it with
-    /// [`Session::into_scratch`]).
-    #[must_use]
-    fn start(&self, scratch: Self::Scratch) -> Self::Session<'_>;
-
-    /// Opens a session with a fresh scratch.
-    #[must_use]
-    fn session(&self) -> Self::Session<'_> {
-        self.start(Self::Scratch::default())
-    }
-
-    /// Whether `word` belongs to the language, reusing caller-owned scratch
-    /// — the zero-allocation form of [`Matcher::matches`].
-    fn matches_with(&self, word: &[Symbol], scratch: &mut Self::Scratch) -> bool {
-        let mut session = self.start(std::mem::take(scratch));
-        let mut viable = true;
-        for &sym in word {
-            if !session.feed(sym).is_advanced() {
-                viable = false;
-                break;
-            }
-        }
-        let accepted = viable && session.accepts();
-        *scratch = session.into_scratch();
-        accepted
-    }
-
-    /// Whether `word` belongs to the language of the expression. This is a
-    /// thin loop over a session — the only matching code path.
-    fn matches(&self, word: &[Symbol]) -> bool {
-        let mut scratch = Self::Scratch::default();
-        self.matches_with(word, &mut scratch)
-    }
-}
-
 /// A matcher whose entire per-word state is one position of the marked
 /// expression (the deterministic transition-simulation shape shared by the
 /// Glushkov DFA baseline and all four Section 4 matchers).
-///
-/// Implementing this trait provides [`Matcher`] for free through the generic
-/// [`PosSession`] cursor.
 pub trait PosStepper {
     /// The state before any symbol has been read (the phantom `#`).
     fn begin(&self) -> PosId;
@@ -156,117 +28,18 @@ pub trait PosStepper {
 
     /// Whether a word can end at position `p` (`$ ∈ Follow(p)`).
     fn can_end(&self, p: PosId) -> bool;
-}
 
-/// The suspended state of a [`PosSession`]: the current position, the event
-/// counter, and the sticky rejection witness — 24 bytes of plain `Copy`
-/// data with no borrow of the matcher. Park it per connection and pick the
-/// cursor back up later with [`PosSession::resume`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PosState {
-    pos: PosId,
-    events: usize,
-    rejected: Option<RejectWitness>,
-}
-
-/// The generic session over a [`PosStepper`]: a current position, an event
-/// counter, and a sticky rejection witness. Needs no scratch.
-#[derive(Clone, Debug)]
-pub struct PosSession<'m, M: ?Sized> {
-    matcher: &'m M,
-    pos: PosId,
-    events: usize,
-    rejected: Option<RejectWitness>,
-}
-
-impl<'m, M: PosStepper + ?Sized> PosSession<'m, M> {
-    /// The current position of the cursor.
-    pub fn position(&self) -> PosId {
-        self.pos
-    }
-
-    /// Suspends the session into a plain-data [`PosState`], dropping the
-    /// borrow of the matcher. The state is only meaningful to the matcher
-    /// that produced it (positions index *its* marked expression).
-    #[must_use]
-    pub fn into_state(self) -> PosState {
-        PosState {
-            pos: self.pos,
-            events: self.events,
-            rejected: self.rejected,
-        }
-    }
-
-    /// Resumes a session suspended by [`PosSession::into_state`]. Resuming
-    /// a state on a different matcher than the one that produced it is a
-    /// logic error: positions are indices into the producing matcher's
-    /// marked expression.
-    #[must_use]
-    pub fn resume(matcher: &'m M, state: PosState) -> Self {
-        PosSession {
-            matcher,
-            pos: state.pos,
-            events: state.events,
-            rejected: state.rejected,
-        }
-    }
-}
-
-impl<'m, M: PosStepper + ?Sized> Session for PosSession<'m, M> {
-    type Scratch = ();
-
-    #[inline]
-    fn feed(&mut self, symbol: Symbol) -> Step {
-        if let Some(w) = self.rejected {
-            return Step::Rejected(w);
-        }
-        match self.matcher.advance(self.pos, symbol) {
-            Some(q) => {
-                self.pos = q;
-                self.events += 1;
-                Step::Advanced
-            }
-            None => {
-                let w = RejectWitness {
-                    event: self.events,
-                    symbol,
-                };
-                self.rejected = Some(w);
-                Step::Rejected(w)
+    /// Whether `word` belongs to the language: [`Self::begin`], one
+    /// [`Self::advance`] per symbol, then [`Self::can_end`].
+    fn matches(&self, word: &[Symbol]) -> bool {
+        let mut p = self.begin();
+        for &symbol in word {
+            match self.advance(p, symbol) {
+                Some(q) => p = q,
+                None => return false,
             }
         }
-    }
-
-    #[inline]
-    fn accepts(&self) -> bool {
-        self.rejected.is_none() && self.matcher.can_end(self.pos)
-    }
-
-    fn events(&self) -> usize {
-        self.events
-    }
-
-    fn rejection(&self) -> Option<RejectWitness> {
-        self.rejected
-    }
-
-    fn into_scratch(self) -> Self::Scratch {}
-}
-
-impl<M: PosStepper> Matcher for M {
-    type Scratch = ();
-    type Session<'m>
-        = PosSession<'m, M>
-    where
-        M: 'm;
-
-    fn start(&self, _scratch: ()) -> PosSession<'_, M> {
-        PosSession {
-            matcher: self,
-            pos: self.begin(),
-            events: 0,
-            rejected: None,
-        }
+        self.can_end(p)
     }
 }
 
@@ -275,8 +48,8 @@ mod tests {
     use super::*;
 
     /// A toy stepper for the language (ab)* over symbols 0 = a, 1 = b,
-    /// exercising the generic session and the default `matches` loop.
-    /// Position 0 expects `a`, position 1 expects `b`.
+    /// exercising the provided `matches` loop. Position 0 expects `a`,
+    /// position 1 expects `b`.
     struct ToyAbStar;
 
     impl PosStepper for ToyAbStar {
@@ -298,7 +71,7 @@ mod tests {
     }
 
     #[test]
-    fn default_matches_drives_the_session() {
+    fn provided_matches_steps_the_positions() {
         let a = Symbol::from_index(0);
         let b = Symbol::from_index(1);
         let m = ToyAbStar;
@@ -309,40 +82,5 @@ mod tests {
         assert!(!m.matches(&[b, a]));
         assert!(!m.matches(&[a, b, a]));
         assert!(!m.matches(&[a, a]));
-    }
-
-    #[test]
-    fn sessions_reject_with_a_witness_and_stay_dead() {
-        let a = Symbol::from_index(0);
-        let b = Symbol::from_index(1);
-        let m = ToyAbStar;
-        let mut s = m.session();
-        assert_eq!(s.feed(a), Step::Advanced);
-        assert_eq!(s.feed(b), Step::Advanced);
-        assert!(s.accepts());
-        assert_eq!(s.events(), 2);
-        assert_eq!(s.rejection(), None);
-        // The third `b` cannot be read: event 2 is the witness.
-        let w = RejectWitness {
-            event: 2,
-            symbol: b,
-        };
-        assert_eq!(s.feed(b), Step::Rejected(w));
-        assert!(!s.accepts());
-        // Dead sessions keep returning the first witness, even for symbols
-        // that would otherwise advance.
-        assert_eq!(s.feed(a), Step::Rejected(w));
-        assert_eq!(s.events(), 2);
-        assert_eq!(s.rejection(), Some(w));
-    }
-
-    #[test]
-    fn matches_with_recovers_the_scratch() {
-        let a = Symbol::from_index(0);
-        let b = Symbol::from_index(1);
-        let m = ToyAbStar;
-        let mut scratch = ();
-        assert!(m.matches_with(&[a, b], &mut scratch));
-        assert!(!m.matches_with(&[b], &mut scratch));
     }
 }

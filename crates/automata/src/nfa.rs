@@ -8,13 +8,12 @@
 //! testing oracle for every matcher in the workspace, because it implements
 //! the language definition directly without any determinism assumption.
 //!
-//! The simulation exposes the same incremental [`Session`] interface as the
-//! deterministic matchers; its sessions keep the current/next position sets
-//! in an [`NfaScratch`] that callers recycle across words, so steady-state
-//! matching performs no allocation.
+//! The simulation is stepped like the deterministic matchers, except that
+//! its per-word state is a position *set*: the caller owns it as an
+//! [`NfaScratch`] and recycles it across words, so steady-state matching
+//! performs no allocation.
 
 use crate::glushkov::GlushkovAutomaton;
-use crate::matcher::{Matcher, RejectWitness, Session, Step};
 use redet_syntax::{Regex, Symbol};
 use redet_tree::PosId;
 
@@ -25,8 +24,8 @@ pub struct NfaSimulationMatcher {
     automaton: GlushkovAutomaton,
 }
 
-/// Reusable buffers for [`NfaSimulationMatcher`] sessions: the current and
-/// next position sets. Create it once, recycle it across sessions — the
+/// The owned per-word state of an [`NfaSimulationMatcher`]: the current and
+/// next position sets. Create it once, recycle it across words — the
 /// steady-state simulation loop then performs no allocation.
 #[derive(Clone, Debug, Default)]
 pub struct NfaScratch {
@@ -101,109 +100,19 @@ impl NfaSimulationMatcher {
     pub fn state_accepts(&self, state: &NfaScratch) -> bool {
         state.current.iter().any(|&p| self.automaton.can_end(p))
     }
-}
 
-/// The suspended state of an [`NfaSession`]: the owned position sets plus
-/// the event counter and sticky rejection witness, with no borrow of the
-/// matcher. Park it per connection and pick the cursor back up later with
-/// [`NfaSimulationMatcher::resume`] — the buffers travel with the state, so
-/// suspend/resume cycles allocate nothing.
-#[derive(Clone, Debug, Default)]
-pub struct NfaState {
-    scratch: NfaScratch,
-    events: usize,
-    rejected: Option<RejectWitness>,
-}
-
-/// An incremental session over the set-of-positions simulation. Owns its
-/// [`NfaScratch`] buffers for the duration of the word; recover them with
-/// [`Session::into_scratch`].
-#[derive(Debug)]
-pub struct NfaSession<'m> {
-    matcher: &'m NfaSimulationMatcher,
-    scratch: NfaScratch,
-    events: usize,
-    rejected: Option<RejectWitness>,
-}
-
-impl NfaSession<'_> {
-    /// Suspends the session into an owned [`NfaState`], dropping the borrow
-    /// of the matcher. The state is only meaningful to the matcher that
-    /// produced it.
-    #[must_use]
-    pub fn into_state(self) -> NfaState {
-        NfaState {
-            scratch: self.scratch,
-            events: self.events,
-            rejected: self.rejected,
-        }
-    }
-}
-
-impl Session for NfaSession<'_> {
-    type Scratch = NfaScratch;
-
-    fn feed(&mut self, symbol: Symbol) -> Step {
-        if let Some(w) = self.rejected {
-            return Step::Rejected(w);
-        }
-        if !self.matcher.step(&mut self.scratch, symbol) {
-            let w = RejectWitness {
-                event: self.events,
-                symbol,
-            };
-            self.rejected = Some(w);
-            return Step::Rejected(w);
-        }
-        self.events += 1;
-        Step::Advanced
+    /// Whether `word` belongs to the language, reusing caller-owned state:
+    /// [`Self::reset`], one [`Self::step`] per symbol, then
+    /// [`Self::state_accepts`].
+    pub fn matches_with(&self, word: &[Symbol], state: &mut NfaScratch) -> bool {
+        self.reset(state);
+        word.iter().all(|&symbol| self.step(state, symbol)) && self.state_accepts(state)
     }
 
-    fn accepts(&self) -> bool {
-        self.rejected.is_none() && self.matcher.state_accepts(&self.scratch)
-    }
-
-    fn events(&self) -> usize {
-        self.events
-    }
-
-    fn rejection(&self) -> Option<RejectWitness> {
-        self.rejected
-    }
-
-    fn into_scratch(self) -> NfaScratch {
-        self.scratch
-    }
-}
-
-impl NfaSimulationMatcher {
-    /// Resumes a session suspended by [`NfaSession::into_state`]. Resuming
-    /// a state on a different matcher than the one that produced it is a
-    /// logic error: the position sets index the producing matcher's
-    /// automaton.
-    #[must_use]
-    pub fn resume(&self, state: NfaState) -> NfaSession<'_> {
-        NfaSession {
-            matcher: self,
-            scratch: state.scratch,
-            events: state.events,
-            rejected: state.rejected,
-        }
-    }
-}
-
-impl Matcher for NfaSimulationMatcher {
-    type Scratch = NfaScratch;
-    type Session<'m> = NfaSession<'m>;
-
-    fn start(&self, mut scratch: NfaScratch) -> NfaSession<'_> {
-        self.reset(&mut scratch);
-        NfaSession {
-            matcher: self,
-            scratch,
-            events: 0,
-            rejected: None,
-        }
+    /// Whether `word` belongs to the language (a fresh [`NfaScratch`]; see
+    /// [`Self::matches_with`] for the allocation-free form).
+    pub fn matches(&self, word: &[Symbol]) -> bool {
+        self.matches_with(word, &mut NfaScratch::new())
     }
 }
 
@@ -211,6 +120,7 @@ impl Matcher for NfaSimulationMatcher {
 mod tests {
     use super::*;
     use crate::dfa::GlushkovDfaMatcher;
+    use crate::matcher::PosStepper;
     use redet_syntax::{parse_with_alphabet, Alphabet};
 
     fn word(sigma: &mut Alphabet, text: &str) -> Vec<Symbol> {
@@ -282,22 +192,23 @@ mod tests {
     }
 
     #[test]
-    fn sessions_recycle_the_scratch() {
+    fn owned_state_is_recycled_across_words() {
         let mut sigma = Alphabet::new();
         let e = parse_with_alphabet("(a b)*", &mut sigma).unwrap();
         let m = NfaSimulationMatcher::build(&e);
         let a = sigma.lookup("a").unwrap();
         let b = sigma.lookup("b").unwrap();
-        let mut scratch = NfaScratch::new();
+        let mut state = NfaScratch::new();
         for _ in 0..3 {
-            let mut s = m.start(std::mem::take(&mut scratch));
-            assert!(s.feed(a).is_advanced());
-            assert!(s.feed(b).is_advanced());
-            assert!(s.accepts());
-            // Rejection is sticky and witnessed at the right event.
-            assert_eq!(s.feed(b).witness().map(|w| w.event), Some(2));
-            assert_eq!(s.rejection().map(|w| w.symbol), Some(b));
-            scratch = s.into_scratch();
+            m.reset(&mut state);
+            assert!(m.step(&mut state, a));
+            assert!(m.step(&mut state, b));
+            assert!(m.state_accepts(&state));
+            // A dead step reports it and leaves the set untouched.
+            assert!(!m.step(&mut state, b));
+            assert!(m.state_accepts(&state));
+            assert!(m.matches_with(&[a, b, a, b], &mut state));
+            assert!(!m.matches_with(&[a, b, b], &mut state));
         }
     }
 }

@@ -85,7 +85,6 @@ fn expand_repeat(inner: &Regex, min: u32, max: Option<u32>) -> Regex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::Matcher;
     use crate::nfa::NfaSimulationMatcher;
     use redet_syntax::{parse_with_alphabet, Alphabet, Symbol};
 

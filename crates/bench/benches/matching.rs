@@ -7,7 +7,7 @@
 //! `REDET_BENCH_FAST=1` for a smoke run and `REDET_BENCH_JSON_DIR=dir` to
 //! record a report.
 
-use redet_automata::{GlushkovDfaMatcher, Matcher};
+use redet_automata::{GlushkovDfaMatcher, PosStepper};
 use redet_bench::{
     colored_matcher, compile_workload, harness::Harness, kocc_matcher, pathdecomp_matcher,
     starfree_matcher,

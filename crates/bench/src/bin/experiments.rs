@@ -5,7 +5,7 @@
 //! with `std::time::Instant`; run with
 //! `cargo run --release -p redet-bench --bin experiments`.
 
-use redet_automata::{glushkov_determinism, GlushkovAutomaton, GlushkovDfaMatcher, Matcher};
+use redet_automata::{glushkov_determinism, GlushkovAutomaton, GlushkovDfaMatcher, PosStepper};
 use redet_bench::{
     colored_matcher, compile_workload, kocc_matcher, micros, pathdecomp_matcher, row,
     starfree_matcher, time,

@@ -414,7 +414,7 @@ pub fn book_markup_events(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redet_automata::Matcher;
+    use redet_automata::PosStepper;
     use redet_workloads as workloads;
 
     #[test]

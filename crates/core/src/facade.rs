@@ -1,7 +1,7 @@
 //! High-level entry point: a thin driver over the compilation
 //! [`Pipeline`](crate::pipeline::Pipeline) that picks a matching algorithm
-//! and validates words — in whole-word form or incrementally through
-//! [`MatchSession`] cursors.
+//! and validates words — in whole-word form or one symbol at a time through
+//! the flat stepping interface.
 //!
 //! All the heavy lifting — interning, parsing, normalization, the shared
 //! parse-tree analysis, determinism certification — happens once in the
@@ -11,28 +11,33 @@
 //! an already-compiled expression ([`DeterministicRegex::with_strategy`])
 //! never re-parses or re-analyzes.
 //!
-//! # Incremental sessions
+//! # Stepping a content model
 //!
-//! [`DeterministicRegex::start`] opens a cursor that consumes a word one
-//! symbol at a time — the shape a streaming document validator needs:
+//! Matching is transition simulation (Section 4): start at the phantom `#`
+//! ([`DeterministicRegex::pos_begin`]), take one
+//! [`DeterministicRegex::pos_advance`] per symbol, then ask whether `$` may
+//! follow ([`DeterministicRegex::pos_can_end`]). The caller owns the
+//! position, so a streaming document validator can hold one per open
+//! element:
 //!
 //! ```
 //! use redet_core::DeterministicRegex;
-//! use redet_automata::Step;
 //!
 //! let model = DeterministicRegex::compile("(title, author+, year?)").unwrap();
 //! let title = model.alphabet().lookup("title").unwrap();
 //! let author = model.alphabet().lookup("author").unwrap();
 //!
-//! let mut session = model.start();
-//! assert!(session.feed(title).is_advanced());
-//! assert!(session.feed(author).is_advanced());
-//! assert!(session.accepts());
-//! // `title` cannot appear again: rejection carries the event index, and
-//! // by determinism no extension of the prefix can ever be accepted.
-//! let witness = session.feed(title).witness().unwrap();
-//! assert_eq!(witness.event, 2);
+//! let mut p = model.pos_begin().expect("counting-free models step positions");
+//! p = model.pos_advance(p, title).unwrap();
+//! p = model.pos_advance(p, author).unwrap();
+//! assert!(model.pos_can_end(p));
+//! // `title` cannot appear again: by determinism, no extension of the
+//! // prefix read so far is in the language.
+//! assert_eq!(model.pos_advance(p, title), None);
 //! ```
+//!
+//! Counted expressions (`e{i,j}`) step a position *set* instead, through
+//! [`DeterministicRegex::counted_matcher`].
 
 use crate::diagnostics::{Code, Diagnostic};
 use crate::matcher::colored::ColoredAncestorMatcher;
@@ -41,10 +46,7 @@ use crate::matcher::pathdecomp::{PathDecompositionError, PathDecompositionMatche
 use crate::matcher::starfree::StarFreeMatcher;
 use crate::matcher::PositionMatcher;
 use crate::pipeline::CompiledAnalysis;
-use redet_automata::{
-    GlushkovDfaMatcher, Matcher, NfaScratch, NfaSession, NfaSimulationMatcher, NfaState,
-    PosSession, PosState, PosStepper, RejectWitness, Session, Step,
-};
+use redet_automata::{GlushkovDfaMatcher, NfaSimulationMatcher, PosStepper};
 use redet_syntax::{Alphabet, ExprStats, Regex, Symbol};
 use redet_tree::{PosId, TreeAnalysis};
 use std::fmt;
@@ -87,206 +89,6 @@ enum MatcherImpl {
     /// does not preserve determinism. The simulation is built once by the
     /// pipeline and shared.
     CountedNfa(Arc<NfaSimulationMatcher>),
-}
-
-/// Reusable buffers for [`DeterministicRegex`] sessions. Only the
-/// counted-expression simulation actually uses them; recycling one scratch
-/// across sessions keeps steady-state streaming allocation-free for every
-/// strategy.
-#[derive(Debug, Default)]
-pub struct MatchScratch {
-    nfa: NfaScratch,
-}
-
-impl MatchScratch {
-    /// Creates an empty scratch (no allocations until first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// The suspended state of a [`MatchSession`]: plain owned data with no
-/// borrow of the expression, so a session can be parked per connection (in
-/// a slab, a map, across an `await` point…) and picked back up later with
-/// [`DeterministicRegex::resume`].
-///
-/// A state is only meaningful to the expression **and strategy** that
-/// produced it — positions index the producing matcher's marked expression.
-/// [`DeterministicRegex::resume`] checks the strategy and panics on a
-/// mismatch; resuming on a different expression that happens to share the
-/// strategy is an unchecked logic error.
-#[derive(Debug)]
-#[must_use = "a suspended session does nothing until resumed"]
-pub struct MatchState {
-    strategy: MatchStrategy,
-    imp: StateImpl,
-    /// The scratch that travelled with the session (position-cursor
-    /// strategies), preserved across suspend/resume cycles.
-    spare: Option<MatchScratch>,
-}
-
-#[derive(Debug)]
-enum StateImpl {
-    /// All five position-machine strategies share the `PosSession` cursor,
-    /// hence one state shape.
-    Pos(PosState),
-    /// The counted simulation's owned position sets.
-    Counted(NfaState),
-}
-
-impl MatchState {
-    /// The strategy of the expression this state was suspended from (and
-    /// the only strategy it can be resumed on).
-    pub fn strategy(&self) -> MatchStrategy {
-        self.strategy
-    }
-}
-
-enum SessionImpl<'m> {
-    StarFree(PosSession<'m, PositionMatcher<StarFreeMatcher>>),
-    KOccurrence(PosSession<'m, PositionMatcher<KOccurrenceMatcher>>),
-    PathDecomposition(PosSession<'m, PositionMatcher<PathDecompositionMatcher>>),
-    ColoredAncestor(PosSession<'m, PositionMatcher<ColoredAncestorMatcher>>),
-    GlushkovDfa(PosSession<'m, GlushkovDfaMatcher>),
-    Counted(NfaSession<'m>),
-}
-
-/// An incremental matching cursor over a [`DeterministicRegex`]: feed the
-/// word one symbol at a time ([`MatchSession::feed`]), test membership of
-/// the prefix at any point ([`MatchSession::accepts`]). Because the
-/// expression is deterministic, a [`Step::Rejected`] outcome is final — no
-/// extension of the rejected prefix belongs to the language.
-pub struct MatchSession<'m> {
-    imp: SessionImpl<'m>,
-    /// The caller's scratch, held for return by variants that don't consume
-    /// it (all position-cursor strategies).
-    spare: Option<MatchScratch>,
-}
-
-impl MatchSession<'_> {
-    /// Consumes one symbol; see [`Session::feed`].
-    pub fn feed(&mut self, symbol: Symbol) -> Step {
-        match &mut self.imp {
-            SessionImpl::StarFree(s) => s.feed(symbol),
-            SessionImpl::KOccurrence(s) => s.feed(symbol),
-            SessionImpl::PathDecomposition(s) => s.feed(symbol),
-            SessionImpl::ColoredAncestor(s) => s.feed(symbol),
-            SessionImpl::GlushkovDfa(s) => s.feed(symbol),
-            SessionImpl::Counted(s) => s.feed(symbol),
-        }
-    }
-
-    /// Whether the word fed so far belongs to the content model.
-    pub fn accepts(&self) -> bool {
-        match &self.imp {
-            SessionImpl::StarFree(s) => s.accepts(),
-            SessionImpl::KOccurrence(s) => s.accepts(),
-            SessionImpl::PathDecomposition(s) => s.accepts(),
-            SessionImpl::ColoredAncestor(s) => s.accepts(),
-            SessionImpl::GlushkovDfa(s) => s.accepts(),
-            SessionImpl::Counted(s) => s.accepts(),
-        }
-    }
-
-    /// Number of symbols successfully consumed so far.
-    pub fn events(&self) -> usize {
-        match &self.imp {
-            SessionImpl::StarFree(s) => s.events(),
-            SessionImpl::KOccurrence(s) => s.events(),
-            SessionImpl::PathDecomposition(s) => s.events(),
-            SessionImpl::ColoredAncestor(s) => s.events(),
-            SessionImpl::GlushkovDfa(s) => s.events(),
-            SessionImpl::Counted(s) => s.events(),
-        }
-    }
-
-    /// The witness of the first rejection, if the session is dead.
-    pub fn rejection(&self) -> Option<RejectWitness> {
-        match &self.imp {
-            SessionImpl::StarFree(s) => s.rejection(),
-            SessionImpl::KOccurrence(s) => s.rejection(),
-            SessionImpl::PathDecomposition(s) => s.rejection(),
-            SessionImpl::ColoredAncestor(s) => s.rejection(),
-            SessionImpl::GlushkovDfa(s) => s.rejection(),
-            SessionImpl::Counted(s) => s.rejection(),
-        }
-    }
-
-    /// Closes the session, recovering the scratch for reuse.
-    pub fn into_scratch(self) -> MatchScratch {
-        match self.imp {
-            SessionImpl::Counted(s) => MatchScratch {
-                nfa: s.into_scratch(),
-            },
-            _ => self.spare.unwrap_or_default(),
-        }
-    }
-
-    /// Suspends the session into a plain-data [`MatchState`] with no borrow
-    /// of the expression, so it can be parked per connection and resumed
-    /// later with [`DeterministicRegex::resume`]. The scratch travels with
-    /// the state — a suspend/resume cycle allocates nothing.
-    pub fn into_state(self) -> MatchState {
-        let (strategy, imp) = match self.imp {
-            SessionImpl::StarFree(s) => (MatchStrategy::StarFree, StateImpl::Pos(s.into_state())),
-            SessionImpl::KOccurrence(s) => {
-                (MatchStrategy::KOccurrence, StateImpl::Pos(s.into_state()))
-            }
-            SessionImpl::PathDecomposition(s) => (
-                MatchStrategy::PathDecomposition,
-                StateImpl::Pos(s.into_state()),
-            ),
-            SessionImpl::ColoredAncestor(s) => (
-                MatchStrategy::ColoredAncestor,
-                StateImpl::Pos(s.into_state()),
-            ),
-            SessionImpl::GlushkovDfa(s) => {
-                (MatchStrategy::GlushkovDfa, StateImpl::Pos(s.into_state()))
-            }
-            SessionImpl::Counted(s) => (
-                MatchStrategy::CountedSimulation,
-                StateImpl::Counted(s.into_state()),
-            ),
-        };
-        MatchState {
-            strategy,
-            imp,
-            spare: self.spare,
-        }
-    }
-}
-
-impl Session for MatchSession<'_> {
-    type Scratch = MatchScratch;
-
-    fn feed(&mut self, symbol: Symbol) -> Step {
-        MatchSession::feed(self, symbol)
-    }
-
-    fn accepts(&self) -> bool {
-        MatchSession::accepts(self)
-    }
-
-    fn events(&self) -> usize {
-        MatchSession::events(self)
-    }
-
-    fn rejection(&self) -> Option<RejectWitness> {
-        MatchSession::rejection(self)
-    }
-
-    fn into_scratch(self) -> MatchScratch {
-        MatchSession::into_scratch(self)
-    }
-}
-
-impl fmt::Debug for MatchSession<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MatchSession")
-            .field("events", &self.events())
-            .field("rejection", &self.rejection())
-            .finish()
-    }
 }
 
 /// A compiled deterministic regular expression (content model): parsing,
@@ -514,10 +316,9 @@ impl DeterministicRegex {
     /// Together with [`Self::pos_advance`] and [`Self::pos_can_end`] this is
     /// the **flat stepping interface**: the caller keeps the `PosId` and the
     /// per-symbol step is a single enum dispatch straight into the
-    /// strategy's `find_next` — no session object, no scratch hand-off, no
-    /// sticky-rejection bookkeeping. It exists for hot loops that manage
-    /// many concurrent cursors themselves (the schema validator holds one
-    /// per open element); everyone else should use [`Self::start`].
+    /// strategy's `find_next`. The schema validator holds one `PosId` per
+    /// open element; [`Self::matches_symbols`] is the same loop over a
+    /// whole word.
     #[inline]
     #[must_use]
     pub fn pos_begin(&self) -> Option<PosId> {
@@ -576,93 +377,6 @@ impl DeterministicRegex {
         }
     }
 
-    /// Opens an incremental matching session with a fresh scratch.
-    #[must_use]
-    pub fn start(&self) -> MatchSession<'_> {
-        self.start_with(MatchScratch::default())
-    }
-
-    /// Opens an incremental matching session, taking ownership of `scratch`
-    /// (recover it with [`MatchSession::into_scratch`]). Recycling one
-    /// scratch across sessions keeps steady-state streaming allocation-free.
-    #[must_use]
-    pub fn start_with(&self, scratch: MatchScratch) -> MatchSession<'_> {
-        match &self.matcher {
-            MatcherImpl::StarFree(m) => MatchSession {
-                imp: SessionImpl::StarFree(m.start(())),
-                spare: Some(scratch),
-            },
-            MatcherImpl::KOccurrence(m) => MatchSession {
-                imp: SessionImpl::KOccurrence(m.start(())),
-                spare: Some(scratch),
-            },
-            MatcherImpl::PathDecomposition(m) => MatchSession {
-                imp: SessionImpl::PathDecomposition(m.start(())),
-                spare: Some(scratch),
-            },
-            MatcherImpl::ColoredAncestor(m) => MatchSession {
-                imp: SessionImpl::ColoredAncestor(m.start(())),
-                spare: Some(scratch),
-            },
-            MatcherImpl::GlushkovDfa(m) => MatchSession {
-                imp: SessionImpl::GlushkovDfa(m.start(())),
-                spare: Some(scratch),
-            },
-            MatcherImpl::CountedNfa(m) => MatchSession {
-                imp: SessionImpl::Counted(m.as_ref().start(scratch.nfa)),
-                spare: None,
-            },
-        }
-    }
-
-    /// Resumes a session suspended by [`MatchSession::into_state`], picking
-    /// the cursor up exactly where it left off (position, event count,
-    /// sticky rejection).
-    ///
-    /// # Panics
-    /// Panics if `state` was suspended from an expression with a different
-    /// [`MatchStrategy`] — positions are indices into the producing
-    /// matcher's marked expression and do not translate. Resuming on a
-    /// *different expression* with the same strategy is an unchecked logic
-    /// error; only resume states on the `DeterministicRegex` that produced
-    /// them.
-    #[must_use]
-    pub fn resume(&self, state: MatchState) -> MatchSession<'_> {
-        assert_eq!(
-            state.strategy, self.strategy,
-            "MatchState suspended from a {:?} session cannot resume on a {:?} expression",
-            state.strategy, self.strategy
-        );
-        let spare = state.spare;
-        match (&self.matcher, state.imp) {
-            (MatcherImpl::StarFree(m), StateImpl::Pos(p)) => MatchSession {
-                imp: SessionImpl::StarFree(PosSession::resume(m, p)),
-                spare,
-            },
-            (MatcherImpl::KOccurrence(m), StateImpl::Pos(p)) => MatchSession {
-                imp: SessionImpl::KOccurrence(PosSession::resume(m, p)),
-                spare,
-            },
-            (MatcherImpl::PathDecomposition(m), StateImpl::Pos(p)) => MatchSession {
-                imp: SessionImpl::PathDecomposition(PosSession::resume(m, p)),
-                spare,
-            },
-            (MatcherImpl::ColoredAncestor(m), StateImpl::Pos(p)) => MatchSession {
-                imp: SessionImpl::ColoredAncestor(PosSession::resume(m, p)),
-                spare,
-            },
-            (MatcherImpl::GlushkovDfa(m), StateImpl::Pos(p)) => MatchSession {
-                imp: SessionImpl::GlushkovDfa(PosSession::resume(m, p)),
-                spare,
-            },
-            (MatcherImpl::CountedNfa(m), StateImpl::Counted(s)) => MatchSession {
-                imp: SessionImpl::Counted(m.as_ref().resume(s)),
-                spare,
-            },
-            _ => unreachable!("the strategy check pins the state shape"),
-        }
-    }
-
     /// Whether the word, given as element names, belongs to the content
     /// model. Unknown element names immediately reject.
     pub fn matches(&self, word: &[&str]) -> bool {
@@ -673,26 +387,20 @@ impl DeterministicRegex {
     }
 
     /// Whether the word, given as interned symbols, belongs to the content
-    /// model. A thin loop over [`Self::start`] — the single matching code
-    /// path shared with streaming consumers.
+    /// model: [`Self::pos_begin`], one [`Self::pos_advance`] per symbol,
+    /// then [`Self::pos_can_end`] — the loop the schema validator runs.
+    /// Counted expressions run [`NfaSimulationMatcher::matches`] instead.
     pub fn matches_symbols(&self, word: &[Symbol]) -> bool {
-        self.matches_symbols_with(word, &mut MatchScratch::default())
-    }
-
-    /// Like [`Self::matches_symbols`] with caller-owned scratch — the
-    /// zero-allocation form for compile-once/match-many loops.
-    pub fn matches_symbols_with(&self, word: &[Symbol], scratch: &mut MatchScratch) -> bool {
-        let mut session = self.start_with(std::mem::take(scratch));
-        let mut viable = true;
-        for &sym in word {
-            if !session.feed(sym).is_advanced() {
-                viable = false;
-                break;
+        let Some(mut p) = self.pos_begin() else {
+            return self.counted_matcher().is_some_and(|nfa| nfa.matches(word));
+        };
+        for &symbol in word {
+            match self.pos_advance(p, symbol) {
+                Some(q) => p = q,
+                None => return false,
             }
         }
-        let accepted = viable && session.accepts();
-        *scratch = session.into_scratch();
-        accepted
+        self.pos_can_end(p)
     }
 
     /// Validates a batch of words. Star-free expressions use the
@@ -814,85 +522,18 @@ mod tests {
     }
 
     #[test]
-    fn sessions_agree_with_whole_word_matching() {
-        let model = DeterministicRegex::compile("(c?((a b*)(a? c)))*(b a)").unwrap();
-        let sigma = model.alphabet();
-        let word: Vec<Symbol> = ["c", "a", "c", "b", "a"]
-            .iter()
-            .map(|n| sigma.lookup(n).unwrap())
-            .collect();
-        let mut session = model.start();
-        for (i, &sym) in word.iter().enumerate() {
-            assert!(session.feed(sym).is_advanced(), "event {i}");
-            assert_eq!(session.events(), i + 1);
-        }
-        assert!(session.accepts());
-        assert!(model.matches_symbols(&word));
-        // Scratch round-trips through sessions.
-        let scratch = session.into_scratch();
-        let again = model.start_with(scratch);
-        assert!(!again.accepts());
-    }
-
-    #[test]
-    fn sessions_suspend_and_resume_without_a_borrow() {
-        // Every strategy kind: position cursors and the counted simulation.
-        let inputs = [
-            ("(c?((a b*)(a? c)))*(b a)", vec!["c", "a", "c", "b", "a"]),
-            ("(a b){2,3} c", vec!["a", "b", "a", "b", "c"]),
-        ];
-        for (input, word) in inputs {
-            let model = DeterministicRegex::compile(input).unwrap();
-            let sigma = model.alphabet();
-            let word: Vec<Symbol> = word.iter().map(|n| sigma.lookup(n).unwrap()).collect();
-            let (head, tail) = word.split_at(2);
-            let mut session = model.start();
-            for &sym in head {
-                assert!(session.feed(sym).is_advanced());
-            }
-            // Suspend: the state outlives the session and carries no borrow
-            // of `model` (it can be stored, sent, parked per connection).
-            let state = session.into_state();
-            assert_eq!(state.strategy(), model.strategy());
-            let mut session = model.resume(state);
-            assert_eq!(session.events(), head.len());
-            for &sym in tail {
-                assert!(session.feed(sym).is_advanced(), "{input}");
-            }
-            assert!(session.accepts(), "{input}");
-            // Rejection is preserved across suspend/resume too.
-            let dead = sigma.lookup("c").unwrap();
-            let w = session.feed(dead).witness().unwrap();
-            let resumed = model.resume(session.into_state());
-            assert_eq!(resumed.rejection(), Some(w));
-            assert!(!resumed.accepts());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot resume")]
-    fn resume_checks_the_strategy() {
-        let model = DeterministicRegex::compile("(c?((a b*)(a? c)))*(b a)").unwrap();
-        let state = model.start().into_state();
-        let other = model.with_strategy(MatchStrategy::ColoredAncestor).unwrap();
-        let _ = other.resume(state);
-    }
-
-    #[test]
-    fn early_reject_is_sticky_and_witnessed() {
+    fn early_reject_is_final() {
         let model = DeterministicRegex::compile("(title, author+, year?)").unwrap();
         let sigma = model.alphabet();
         let title = sigma.lookup("title").unwrap();
         let year = sigma.lookup("year").unwrap();
-        let mut session = model.start();
-        assert!(session.feed(title).is_advanced());
-        // `year` cannot follow `title` directly.
-        let w = session.feed(year).witness().unwrap();
-        assert_eq!((w.event, w.symbol), (1, year));
-        assert!(!session.accepts());
-        // Dead session: same witness forever, even for viable symbols.
-        assert_eq!(session.feed(title).witness(), Some(w));
-        assert_eq!(session.rejection(), Some(w));
+        let p = model.pos_begin().unwrap();
+        let p = model.pos_advance(p, title).unwrap();
+        // `year` cannot follow `title` directly, and no extension of
+        // `title year` is in the language.
+        assert_eq!(model.pos_advance(p, year), None);
+        assert!(!model.matches_symbols(&[title, year]));
+        assert!(!model.matches(&["title", "year", "author"]));
     }
 
     #[test]
@@ -931,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_stepping_interface_agrees_with_sessions() {
+    fn flat_stepping_interface_agrees_with_whole_word_matching() {
         let model = DeterministicRegex::compile("(c?((a b*)(a? c)))*(b a)").unwrap();
         let sigma = model.alphabet();
         let word: Vec<Symbol> = ["c", "a", "c", "b", "a"]
@@ -939,19 +580,15 @@ mod tests {
             .map(|n| sigma.lookup(n).unwrap())
             .collect();
         let mut pos = model.pos_begin().expect("counting-free");
-        let mut session = model.start();
-        for &sym in &word {
-            assert_eq!(model.pos_can_end(pos), session.accepts());
+        for (i, &sym) in word.iter().enumerate() {
+            assert_eq!(model.pos_can_end(pos), model.matches_symbols(&word[..i]));
             pos = model.pos_advance(pos, sym).expect("member word");
-            assert!(session.feed(sym).is_advanced());
         }
         assert!(model.pos_can_end(pos));
-        assert!(session.accepts());
-        // A symbol with no continuation: the flat interface returns None
-        // where the session rejects.
+        assert!(model.matches_symbols(&word));
+        // A symbol with no continuation.
         let c = sigma.lookup("c").unwrap();
         assert_eq!(model.pos_advance(pos, c), None);
-        assert!(!session.feed(c).is_advanced());
         assert!(model.counted_matcher().is_none());
 
         // Counted expressions have no position machine; the owned-state
@@ -965,7 +602,7 @@ mod tests {
             sigma.lookup("b").unwrap(),
             sigma.lookup("c").unwrap(),
         );
-        let mut state = NfaScratch::new();
+        let mut state = redet_automata::NfaScratch::new();
         nfa.reset(&mut state);
         for sym in [a, b, a, b, c] {
             assert!(nfa.step(&mut state, sym), "member word");

@@ -44,7 +44,7 @@ pub use determinism::{
     check_determinism, DeterminismCertificate, NonDeterminism, NonDeterminismKind,
 };
 pub use diagnostics::{Code, ConflictWitness, Diagnostic, DocLocation};
-pub use facade::{DeterministicRegex, MatchScratch, MatchSession, MatchState, MatchStrategy};
+pub use facade::{DeterministicRegex, MatchStrategy};
 pub use matcher::colored::ColoredAncestorMatcher;
 pub use matcher::kocc::KOccurrenceMatcher;
 pub use matcher::pathdecomp::PathDecompositionMatcher;

@@ -45,13 +45,12 @@ pub trait TransitionSim {
     fn find_next(&self, p: PosId, symbol: Symbol) -> Option<PosId>;
 }
 
-/// Adapter turning any [`TransitionSim`] into a streaming
-/// [`redet_automata::Matcher`] with incremental sessions (Section 4:
+/// Adapter turning any [`TransitionSim`] into a [`PosStepper`] (Section 4:
 /// "matching a word w against e′ is straightforward: begin with position #,
 /// use the transition simulation procedure iteratively, and finally test if
 /// the position obtained after processing the last symbol of w is followed
-/// by $"). The session state is a single position, so sessions need no
-/// scratch and cost nothing to open.
+/// by $"). The per-word state is a single position the caller owns, and
+/// whole-word matching is the provided [`PosStepper::matches`] loop.
 #[derive(Clone, Debug)]
 pub struct PositionMatcher<T> {
     sim: T,
@@ -96,7 +95,7 @@ pub(crate) mod testutil {
     //! Shared helpers for matcher tests: every matcher is compared against
     //! the Glushkov DFA baseline on the same expressions and words.
 
-    use redet_automata::{GlushkovDfaMatcher, Matcher};
+    use redet_automata::{GlushkovDfaMatcher, PosStepper};
     use redet_syntax::{parse_with_alphabet, Alphabet, Regex, Symbol};
 
     /// Deterministic expressions exercising all structural features.
@@ -158,7 +157,7 @@ pub(crate) mod testutil {
 
     /// Asserts that `matcher` agrees with the Glushkov DFA baseline on all
     /// words up to the given length.
-    pub fn assert_agrees_with_baseline<M: Matcher>(
+    pub fn assert_agrees_with_baseline<M: PosStepper>(
         input: &str,
         max_len: usize,
         matcher: impl Fn(&Regex) -> M,

@@ -298,7 +298,7 @@ mod tests {
     use super::*;
     use crate::matcher::testutil::{assert_agrees_with_baseline, DETERMINISTIC_EXPRESSIONS};
     use crate::matcher::PositionMatcher;
-    use redet_automata::Matcher;
+    use redet_automata::PosStepper;
     use redet_syntax::parse_with_alphabet;
 
     fn build(e: &redet_syntax::Regex) -> PathDecompositionMatcher {

@@ -269,7 +269,7 @@ mod tests {
     use super::*;
     use crate::matcher::testutil::{assert_agrees_with_baseline, expression_and_words};
     use crate::matcher::PositionMatcher;
-    use redet_automata::{GlushkovDfaMatcher, Matcher};
+    use redet_automata::{GlushkovDfaMatcher, PosStepper};
     use redet_syntax::parse_with_alphabet;
 
     const STAR_FREE_EXPRESSIONS: &[&str] = &[

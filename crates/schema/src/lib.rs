@@ -123,7 +123,7 @@ impl Content {
 
 /// One entry of the flat per-symbol dispatch table: everything
 /// `DocumentValidator::start_element_symbol` needs to know about a symbol —
-/// the content kind *and* the session starter — in a single indexed load,
+/// the content kind *and* the start state — in a single indexed load,
 /// replacing the old `content_of` enum walk plus
 /// `Option<&DeterministicRegex>` chasing on every open event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -465,7 +465,7 @@ impl Schema {
 
     /// The compiled content model of `sym`, when it is declared with one.
     /// Exposes the per-element strategy ([`DeterministicRegex::strategy`]),
-    /// certificate, statistics and incremental sessions.
+    /// certificate, statistics and the flat stepping interface.
     ///
     /// # Panics
     /// Panics if `sym` was not handed out by this schema's alphabet.
@@ -845,7 +845,7 @@ impl SchemaBuilder {
             attr_ranges[elem.index()] = (start, list.len() as u32);
             required_masks[elem.index()] = mask;
         }
-        // Precompute the flat dispatch table: kind + session starter in one
+        // Precompute the flat dispatch table: kind + start state in one
         // load, so opening an element never walks the content enum.
         let dispatch = content
             .iter()

@@ -100,9 +100,8 @@ enum ParentIssue {
     },
 }
 
-/// The matcher state of one open element. All variants are plain data —
-/// sessions, scratch hand-offs and per-frame heap state are gone from the
-/// hot path.
+/// The matcher state of one open element. All variants are plain data, so
+/// the hot path moves no scratch and keeps no per-frame heap state.
 #[derive(Clone, Copy, Debug)]
 enum FrameState {
     /// A position-machine content model: the current position is the

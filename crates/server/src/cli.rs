@@ -5,7 +5,6 @@
 //! redet validate <schema.dtd> <doc.xml>…   validate documents, caret diagnostics
 //! redet lint <schema.dtd>…                 lint DTDs for determinism
 //! redet serve --addr A --schema id=path…   the TCP front end
-//! redet bench [--workers N]…               throughput measurement
 //! redet request --addr A --schema id <doc> one framed wire round-trip
 //! redet publish --addr A --schema id <dtd> hot-swap a schema (P)
 //! redet shutdown --addr A                  graceful remote shutdown (Q)
@@ -21,11 +20,11 @@ use crate::router::SchemaRouter;
 use crate::server::{Server, ServerConfig};
 use crate::wire;
 use redet_schema::registry::{Provenance, Registry};
-use redet_schema::{Schema, SchemaBuilder, ServiceLimits, ValidatorPool};
+use redet_schema::{Schema, SchemaBuilder, ServiceLimits};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything `redet --help` prints.
 const USAGE: &str = "\
@@ -52,10 +51,6 @@ USAGE:
         provenance per id; identical DTD text compiles once). Prints
         'listening on <addr>' once the socket is bound.
 
-    redet bench [--workers N] [--docs N] [--chapters N] [--seed N]
-        Measure batch (event) and streaming (byte) validation throughput
-        over the generated book corpus, through the sharded ValidatorPool.
-
     redet request --addr <host:port> --schema <id> <doc.xml>
         Send one framed request to a running server and print the response.
 
@@ -79,7 +74,6 @@ pub fn run(args: &[String]) -> i32 {
         Some("validate") => cmd_validate(&args[1..]),
         Some("lint") => cmd_lint(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("request") => cmd_request(&args[1..]),
         Some("publish") => cmd_publish(&args[1..]),
         Some("shutdown") => cmd_shutdown(&args[1..]),
@@ -384,106 +378,6 @@ fn cmd_serve(args: &[String]) -> i32 {
             2
         }
     }
-}
-
-/// `redet bench`: batch (pre-tokenized events through [`ValidatorPool`])
-/// and streaming (raw bytes through the governed service) throughput over
-/// the generated book corpus.
-fn cmd_bench(args: &[String]) -> i32 {
-    let mut workers = 1usize;
-    let mut docs = 64usize;
-    let mut chapters = 8usize;
-    let mut seed = 42u64;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let result = match arg.as_str() {
-            "--workers" => take_value(arg, &mut iter)
-                .and_then(|v| parse_num(arg, v))
-                .map(|n: usize| workers = n.max(1)),
-            "--docs" => take_value(arg, &mut iter)
-                .and_then(|v| parse_num(arg, v))
-                .map(|n: usize| docs = n.max(1)),
-            "--chapters" => take_value(arg, &mut iter)
-                .and_then(|v| parse_num(arg, v))
-                .map(|n: usize| chapters = n.max(1)),
-            "--seed" => take_value(arg, &mut iter)
-                .and_then(|v| parse_num(arg, v))
-                .map(|n| seed = n),
-            other => {
-                eprintln!("redet bench: unknown flag '{other}'");
-                Err(2)
-            }
-        };
-        if let Err(code) = result {
-            return code;
-        }
-    }
-
-    let schema = SchemaBuilder::new()
-        .parse_dtd(redet_workloads::BOOK_DTD)
-        .build()
-        .expect("BOOK_DTD compiles");
-    let corpus: Vec<_> = (0..docs)
-        .map(|i| redet_bench::book_document_events(&schema, chapters, seed ^ (i as u64)))
-        .collect();
-    let events: u64 = corpus.iter().map(|d| d.len() as u64).sum();
-    let xml: Vec<String> = corpus
-        .iter()
-        .map(|d| redet_bench::events_to_xml(&schema, d))
-        .collect();
-    let bytes: u64 = xml.iter().map(|x| x.len() as u64).sum();
-
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("corpus: {docs} documents x {chapters} chapters = {events} events, {bytes} bytes");
-    if workers > cores {
-        println!(
-            "note: {workers} workers oversubscribe {cores} available core(s); \
-             throughput reflects scheduling, not scaling"
-        );
-    }
-
-    // Batch mode: pre-tokenized events through the sharded pool.
-    let mut pool = ValidatorPool::new(Arc::clone(&schema), workers);
-    let warmup = pool.validate_batch(&corpus);
-    assert!(warmup.iter().all(Result::is_ok), "corpus must validate");
-    let started = Instant::now();
-    let repeats = 5u32;
-    for _ in 0..repeats {
-        let results = pool.validate_batch(&corpus);
-        assert!(results.iter().all(Result::is_ok));
-    }
-    let batch = started.elapsed() / repeats;
-
-    // Streaming mode: raw bytes through one governed service, the same
-    // path a server connection takes.
-    let mut router = SchemaRouter::new();
-    router
-        .register("book", Arc::clone(&schema), ServiceLimits::default())
-        .expect("fresh router");
-    let started = Instant::now();
-    for _ in 0..repeats {
-        for doc in &xml {
-            let verdict = router.validate_bytes("book", doc.as_bytes());
-            assert!(verdict.is_ok());
-        }
-    }
-    let stream = started.elapsed() / repeats;
-
-    let per_doc = |d: Duration| d.as_secs_f64() * 1e6 / docs as f64;
-    let mb_s = |d: Duration| (bytes as f64 / 1e6) / d.as_secs_f64().max(1e-12);
-    println!(
-        "batch   ({workers} worker(s)): {:>10} total, {:>9.1} us/doc, {:>8.1} events/us",
-        redet_bench::micros(batch),
-        per_doc(batch),
-        events as f64 / (batch.as_secs_f64() * 1e6),
-    );
-    println!(
-        "stream  (1 connection) : {:>10} total, {:>9.1} us/doc, {:>8.1} MB/s",
-        redet_bench::micros(stream),
-        per_doc(stream),
-        mb_s(stream),
-    );
-    0
 }
 
 /// Opens a TCP connection to `addr` or explains why it could not.

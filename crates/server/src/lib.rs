@@ -15,7 +15,7 @@
 //!   verdict back as one line, with a wall-clock timer source driving the
 //!   idle sweeper and a graceful drain on shutdown.
 //! - [`cli`] — the `redet` binary's subcommands (`validate`, `lint`,
-//!   `serve`, `bench`, `request`, `shutdown`), hand-rolled argument
+//!   `serve`, `request`, `publish`, `shutdown`), hand-rolled argument
 //!   parsing included.
 //!
 //! Every governance refusal (`E301`–`E307`) crosses the wire byte-

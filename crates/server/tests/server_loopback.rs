@@ -365,3 +365,44 @@ fn malformed_headers_are_protocol_errors() {
     assert_eq!(response, "");
     fixture.stop();
 }
+
+#[test]
+fn over_deep_publish_bodies_are_refused_and_serving_continues() {
+    // One body per way a content model grows deep — parenthesis nesting,
+    // postfix chain, sequence, union — each just over its parse-time cap.
+    let union: Vec<String> = (0..=4500).map(|i| format!("a{i}")).collect();
+    let models = [
+        format!("{}a{}", "(".repeat(1001), ")".repeat(1001)),
+        format!("(a{})", "?".repeat(4500)),
+        format!("({})", vec!["a"; 4501].join(", ")),
+        format!("({})", union.join(" | ")),
+    ];
+    let fixture = Fixture::two_schemas(ServiceLimits::default(), ServerConfig::default());
+    let mut stream = fixture.connect();
+    for model in &models {
+        let dtd = format!("<!ELEMENT doc {model}>");
+        let mut request = format!("P bib {}\n", dtd.len()).into_bytes();
+        request.extend_from_slice(dtd.as_bytes());
+        stream.write_all(&request).unwrap();
+    }
+    let mut reader = BufReader::new(stream);
+    for _ in &models {
+        let line = read_line(&mut reader);
+        assert!(
+            line.starts_with("err E001 ") && line.contains("deeper than"),
+            "{line}"
+        );
+    }
+    drop(reader);
+    // The refusals swapped nothing in: `bib` still serves its schema.
+    assert_eq!(
+        framed_request(&fixture, "bib", GOOD_BIB.as_bytes(), 4096),
+        reference(
+            &schema(BIB_DTD),
+            ServiceLimits::default(),
+            GOOD_BIB.as_bytes()
+        )
+    );
+    let report = fixture.stop();
+    assert_eq!(report.published, 0);
+}

@@ -35,6 +35,32 @@ fn parse_error_carries_its_byte_span() {
 }
 
 #[test]
+fn over_deep_content_models_are_pinned() {
+    // A publish body whose content model is too deep to compile safely is
+    // refused at parse time, with the span at the token that crossed the
+    // cap. One line per cap: parenthesis nesting and tree depth.
+    let render = |model: String| {
+        let diagnostics = SchemaBuilder::new()
+            .parse_dtd(&format!("<!ELEMENT doc {model}>"))
+            .build()
+            .unwrap_err();
+        render_diagnostic(&diagnostics[0])
+    };
+    let nested = format!("{}a{}", "(".repeat(1001), ")".repeat(1001));
+    assert_eq!(
+        render(nested),
+        "err E001 1014..1014 in the content model of <doc>: parentheses nest \
+         deeper than 1000 levels"
+    );
+    let sequence = format!("({})", vec!["a"; 4501].join(", "));
+    assert_eq!(
+        render(sequence),
+        "err E001 13513..13513 in the content model of <doc>: expression nests \
+         deeper than 4500 levels"
+    );
+}
+
+#[test]
 fn validation_error_appends_the_document_location() {
     let schema = SchemaBuilder::new()
         .element("bibliography", "(book)+")

@@ -33,5 +33,8 @@ pub use alphabet::{Alphabet, Symbol};
 pub use ast::Regex;
 pub use error::{ParseError, Span, SyntaxError};
 pub use normalize::normalize;
-pub use parser::{parse, parse_spanned, parse_spanned_with_alphabet, parse_with_alphabet};
+pub use parser::{
+    parse, parse_spanned, parse_spanned_with_alphabet, parse_with_alphabet, MAX_NESTING,
+    MAX_TREE_DEPTH,
+};
 pub use properties::ExprStats;

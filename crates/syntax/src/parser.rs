@@ -15,6 +15,11 @@
 //! The characters `#` and `$` are reserved for the phantom begin/end markers
 //! introduced by restriction (R1) and are rejected by the parser.
 //!
+//! Parsing, normalization, the parse-tree analysis and `Drop` all recurse
+//! along the tree, so the parser bounds its shape: a tree deeper than
+//! [`MAX_TREE_DEPTH`] nodes, or parentheses nested deeper than
+//! [`MAX_NESTING`], is a [`ParseError`] at the token that crossed the cap.
+//!
 //! ```
 //! use redet_syntax::{parse, Regex};
 //!
@@ -31,6 +36,19 @@
 use crate::alphabet::Alphabet;
 use crate::ast::Regex;
 use crate::error::{ParseError, Span};
+
+/// The deepest parsed tree accepted, counted in nodes from the root to the
+/// deepest leaf. A sequence, union or postfix chain of `n` factors is `n`
+/// deep; the longest models the repository compiles (4 000-factor
+/// sequences) are 4 001 deep. At this cap an x86-64 release build compiles
+/// every tree shape on a 2 MiB thread stack with about a quarter of it to
+/// spare.
+pub const MAX_TREE_DEPTH: usize = 4_500;
+
+/// The deepest parenthesis nesting accepted. Every `(` costs several parser
+/// frames on top of the tree node it may add, so nesting is capped below
+/// [`MAX_TREE_DEPTH`]. The tokenizer enforces it, before any recursion.
+pub const MAX_NESTING: usize = 1_000;
 
 /// Parses `input` into an expression, interning symbols into a fresh
 /// [`Alphabet`].
@@ -82,7 +100,7 @@ pub fn parse_spanned_with_alphabet(
         alphabet,
         spans: Vec::new(),
     };
-    let expr = parser.parse_union()?;
+    let (expr, _) = parser.parse_union()?;
     if parser.pos != parser.tokens.len() {
         let (offset, _, tok) = &parser.tokens[parser.pos];
         return Err(ParseError::new(
@@ -109,16 +127,25 @@ enum Token {
 fn tokenize(input: &str) -> Result<Vec<(usize, usize, Token)>, ParseError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
+    let mut nesting = 0usize;
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
         match c {
             c if c.is_whitespace() => i += 1,
             '(' => {
+                nesting += 1;
+                if nesting > MAX_NESTING {
+                    return Err(ParseError::new(
+                        i,
+                        format!("parentheses nest deeper than {MAX_NESTING} levels"),
+                    ));
+                }
                 tokens.push((i, i + 1, Token::LParen));
                 i += 1;
             }
             ')' => {
+                nesting = nesting.saturating_sub(1);
                 tokens.push((i, i + 1, Token::RParen));
                 i += 1;
             }
@@ -274,63 +301,68 @@ impl<'a> Parser<'a> {
         tok
     }
 
-    fn parse_union(&mut self) -> Result<Regex, ParseError> {
-        let mut expr = self.parse_concat()?;
-        while matches!(self.peek(), Some(Token::Union)) {
-            self.bump();
-            let rhs = self.parse_concat()?;
-            expr = expr.or(rhs);
+    /// `depth + 1` for a node built on the token at `offset`, or the error
+    /// naming the cap if that crosses [`MAX_TREE_DEPTH`].
+    fn deeper(offset: usize, depth: usize) -> Result<usize, ParseError> {
+        if depth >= MAX_TREE_DEPTH {
+            return Err(ParseError::new(
+                offset,
+                format!("expression nests deeper than {MAX_TREE_DEPTH} levels"),
+            ));
         }
-        Ok(expr)
+        Ok(depth + 1)
     }
 
-    fn parse_concat(&mut self) -> Result<Regex, ParseError> {
-        let mut expr = self.parse_postfix()?;
+    // Each `parse_*` returns the subtree and its depth in nodes.
+
+    fn parse_union(&mut self) -> Result<(Regex, usize), ParseError> {
+        let (mut expr, mut depth) = self.parse_concat()?;
+        while matches!(self.peek(), Some(Token::Union)) {
+            let offset = self.offset();
+            self.bump();
+            let (rhs, rhs_depth) = self.parse_concat()?;
+            depth = Self::deeper(offset, depth.max(rhs_depth))?;
+            expr = expr.or(rhs);
+        }
+        Ok((expr, depth))
+    }
+
+    fn parse_concat(&mut self) -> Result<(Regex, usize), ParseError> {
+        let (mut expr, mut depth) = self.parse_postfix()?;
         loop {
+            let offset = self.offset();
             match self.peek() {
                 Some(Token::Comma) => {
                     self.bump();
-                    let rhs = self.parse_postfix()?;
-                    expr = expr.then(rhs);
                 }
-                Some(Token::LParen) | Some(Token::Ident(_)) => {
-                    let rhs = self.parse_postfix()?;
-                    expr = expr.then(rhs);
-                }
+                Some(Token::LParen) | Some(Token::Ident(_)) => {}
                 _ => break,
             }
+            let (rhs, rhs_depth) = self.parse_postfix()?;
+            depth = Self::deeper(offset, depth.max(rhs_depth))?;
+            expr = expr.then(rhs);
         }
-        Ok(expr)
+        Ok((expr, depth))
     }
 
-    fn parse_postfix(&mut self) -> Result<Regex, ParseError> {
-        let mut expr = self.parse_atom()?;
+    fn parse_postfix(&mut self) -> Result<(Regex, usize), ParseError> {
+        let (mut expr, mut depth) = self.parse_atom()?;
         loop {
-            match self.peek() {
-                Some(Token::Star) => {
-                    self.bump();
-                    expr = expr.star();
-                }
-                Some(Token::Question) => {
-                    self.bump();
-                    expr = expr.opt();
-                }
-                Some(Token::PostfixPlus) => {
-                    self.bump();
-                    expr = expr.plus();
-                }
-                Some(Token::Repeat(min, max)) => {
-                    let (min, max) = (*min, *max);
-                    self.bump();
-                    expr = expr.repeat(min, max);
-                }
+            let offset = self.offset();
+            expr = match self.peek() {
+                Some(Token::Star) => expr.star(),
+                Some(Token::Question) => expr.opt(),
+                Some(Token::PostfixPlus) => expr.plus(),
+                Some(Token::Repeat(min, max)) => expr.repeat(*min, *max),
                 _ => break,
-            }
+            };
+            self.bump();
+            depth = Self::deeper(offset, depth)?;
         }
-        Ok(expr)
+        Ok((expr, depth))
     }
 
-    fn parse_atom(&mut self) -> Result<Regex, ParseError> {
+    fn parse_atom(&mut self) -> Result<(Regex, usize), ParseError> {
         let offset = self.offset();
         let end = self
             .tokens
@@ -347,7 +379,7 @@ impl<'a> Parser<'a> {
             }
             Some(Token::Ident(name)) => {
                 self.spans.push(Span::new(offset, end));
-                Ok(Regex::symbol(self.alphabet.intern(&name)))
+                Ok((Regex::symbol(self.alphabet.intern(&name)), 1))
             }
             Some(tok) => Err(ParseError::new(
                 offset,
@@ -456,6 +488,57 @@ mod tests {
         assert_eq!(parse("title |").unwrap_err().offset, 7);
         // An unbalanced '(' is reported at the '(' itself.
         assert_eq!(parse("(title").unwrap_err().offset, 0);
+    }
+
+    /// The byte offset of the `n`th (0-based) occurrence of `needle`.
+    fn nth_offset(input: &str, needle: &str, n: usize) -> usize {
+        input.match_indices(needle).nth(n).unwrap().0
+    }
+
+    #[test]
+    fn over_deep_trees_are_refused_at_the_crossing_token() {
+        // One shape per way the tree grows: postfix chain, sequence (comma
+        // and juxtaposition), union. Each has MAX_TREE_DEPTH + 1 levels; the
+        // error lands on the operator that would build the deepest node.
+        let postfix = format!("a{}", "?".repeat(MAX_TREE_DEPTH));
+        let comma = vec!["a"; MAX_TREE_DEPTH + 1].join(",");
+        let juxtaposed = vec!["a"; MAX_TREE_DEPTH + 1].join(" ");
+        let names: Vec<String> = (0..=MAX_TREE_DEPTH).map(|i| format!("a{i}")).collect();
+        let union = names.join("|");
+        for (input, needle, crossing) in [
+            (&postfix, "?", MAX_TREE_DEPTH - 1),
+            (&comma, ",", MAX_TREE_DEPTH - 1),
+            (&juxtaposed, " ", MAX_TREE_DEPTH - 1),
+            (&union, "|", MAX_TREE_DEPTH - 1),
+        ] {
+            let err = parse(input).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("expression nests deeper than {MAX_TREE_DEPTH} levels")
+            );
+            // Juxtaposition has no operator token: the crossing token is the
+            // factor after the separating space.
+            let expected = nth_offset(input, needle, crossing) + usize::from(needle == " ");
+            assert_eq!(err.offset, expected, "{needle:?}");
+        }
+    }
+
+    #[test]
+    fn over_deep_parentheses_are_refused_before_parsing() {
+        let input = format!(
+            "{}a{}",
+            "(".repeat(MAX_NESTING + 1),
+            ")".repeat(MAX_NESTING + 1)
+        );
+        let err = parse(&input).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("parentheses nest deeper than {MAX_NESTING} levels")
+        );
+        assert_eq!(err.offset, MAX_NESTING);
+        // Sibling groups do not add up: only the open depth counts.
+        let siblings = vec!["(a)"; MAX_NESTING + 1].join(",");
+        assert!(parse(&format!("({siblings})")).is_ok());
     }
 
     #[test]

@@ -408,7 +408,7 @@ pub fn sample_random_word(alphabet: &Alphabet, len: usize, seed: u64) -> Vec<Sym
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redet_automata::{glushkov_determinism, Matcher, NfaSimulationMatcher};
+    use redet_automata::{glushkov_determinism, NfaSimulationMatcher};
 
     #[test]
     fn mixed_content_shape() {

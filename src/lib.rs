@@ -40,8 +40,9 @@
 //!
 //! # Single expressions
 //!
-//! One content model at a time, with whole-word matching and incremental
-//! sessions:
+//! One content model at a time, with whole-word matching (and, for
+//! streaming consumers, the flat `pos_begin`/`pos_advance`/`pos_can_end`
+//! stepping interface):
 //!
 //! ```
 //! use redet::DeterministicRegex;
@@ -64,7 +65,7 @@
 //! | [`syntax`] | alphabet, AST, parser (with source spans), normalizer (restrictions R1–R3) |
 //! | [`tree`] | parse-tree arena, RMQ/LCA, `SupFirst`/`SupLast`, `checkIfFollow` (Thm 2.4) |
 //! | [`structures`] | van Emde Boas sets, lazy arrays, lowest colored ancestor |
-//! | [`automata`] | Glushkov construction, baseline determinism test, DFA/NFA matching, the session API |
+//! | [`automata`] | Glushkov construction, baseline determinism test, DFA/NFA matching, the `PosStepper` stepping interface |
 //! | [`core`] | linear-time determinism test (Thm 3.5), counting extension (§3.3), the four matchers (Thms 4.2/4.3/4.10/4.12), diagnostics |
 //! | [`schema`] | `SchemaBuilder`/`Schema` (DTD fragments, shared pipeline), the event-driven `DocumentValidator`, the connection-oriented `ValidationService` (resumable handles, raw-byte ingestion, `ServiceLimits` resource governance), and the `ValidatorPool` batch sharding with panic isolation |
 //!
@@ -83,16 +84,12 @@ pub use redet_structures as structures;
 pub use redet_syntax as syntax;
 pub use redet_tree as tree;
 
-pub use redet_automata::{
-    GlushkovAutomaton, GlushkovDfaMatcher, Matcher, NfaSimulationMatcher, PosStepper,
-    RejectWitness, Session, Step,
-};
+pub use redet_automata::{GlushkovAutomaton, GlushkovDfaMatcher, NfaSimulationMatcher, PosStepper};
 pub use redet_core::{
     check_counting_determinism, check_determinism, BatchScratch, Code, ColoredAncestorMatcher,
     CompiledAnalysis, ConflictWitness, DeterminismCertificate, DeterministicRegex, Diagnostic,
-    DocLocation, KOccurrenceMatcher, MatchScratch, MatchSession, MatchState, MatchStrategy,
-    NonDeterminism, PathDecompositionMatcher, Pipeline, PositionMatcher, StarFreeMatcher,
-    TransitionSim,
+    DocLocation, KOccurrenceMatcher, MatchStrategy, NonDeterminism, PathDecompositionMatcher,
+    Pipeline, PositionMatcher, StarFreeMatcher, TransitionSim,
 };
 pub use redet_schema::{
     ContentKind, DocEvent, DocId, DocumentValidator, FeedStatus, Schema, SchemaBuilder,

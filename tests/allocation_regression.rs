@@ -5,7 +5,7 @@
 //! reusable [`BatchScratch`] arenas, the single-word transition simulations
 //! carry their state in a `PosId`, the counted-expression simulation
 //! reuses caller-owned cursor buffers, and the schema-level
-//! [`DocumentValidator`] recycles its frame stack and session scratch pool
+//! [`DocumentValidator`] recycles its frame stack and position-set pool
 //! across documents. A counting global allocator enforces this — any `Vec`
 //! growth or hash-map insertion sneaking back into the hot paths fails the
 //! test.
@@ -16,7 +16,7 @@
 use redet::core::matcher::starfree::BatchScratch;
 use redet::schema::{DocEvent, FeedStatus, ServiceLimits, ValidatorPool};
 use redet::{
-    CompiledAnalysis, DocumentValidator, KOccurrenceMatcher, Matcher, PositionMatcher,
+    CompiledAnalysis, DocumentValidator, KOccurrenceMatcher, PosStepper, PositionMatcher,
     SchemaBuilder, StarFreeMatcher, Symbol,
 };
 use redet_alloc_counter::{allocations_during, thread_allocations_during, CountingAllocator};
@@ -69,7 +69,7 @@ fn steady_state_match_loops_do_not_allocate() {
         "batch star-free matching allocated in steady state"
     );
 
-    // --- Single-word transition simulation (k-occurrence), session-fed. ---
+    // --- Single-word transition simulation (k-occurrence), flat-stepped. ---
     let kocc = PositionMatcher::new(KOccurrenceMatcher::from_compiled(&compiled));
     let word = workloads::sample_member_word(&w.regex, 200, 99);
     assert!(kocc.matches(&word));

@@ -10,7 +10,7 @@ use redet::core::matcher::pathdecomp::PathDecompositionMatcher;
 use redet::core::matcher::starfree::StarFreeMatcher;
 use redet::{
     check_determinism, ColoredAncestorMatcher, GlushkovAutomaton, GlushkovDfaMatcher,
-    KOccurrenceMatcher, Matcher, PositionMatcher, TreeAnalysis,
+    KOccurrenceMatcher, PosStepper, PositionMatcher, TreeAnalysis,
 };
 use redet_automata::glushkov_determinism;
 use redet_syntax::{normalize, Regex, Symbol};

@@ -15,7 +15,6 @@
 //!   oracle on the `e+` language (one-or-more really is one-or-more).
 
 use redet::{Code, DeterministicRegex, MatchStrategy, NfaSimulationMatcher, Symbol};
-use redet_automata::Matcher;
 
 /// DTD-style `+` models together with the strategy auto-selection must
 /// report for them (small `k` → k-occurrence; `k > 4` → colored-ancestor,

@@ -13,7 +13,7 @@
 //! group-skip path of the skeleton — and long optional chains).
 
 use redet::core::matcher::starfree::{BatchScratch, StarFreeMatcher};
-use redet::{GlushkovDfaMatcher, Matcher, PositionMatcher, Symbol, TreeAnalysis};
+use redet::{GlushkovDfaMatcher, PosStepper, PositionMatcher, Symbol, TreeAnalysis};
 use redet_syntax::normalize;
 use redet_workloads as workloads;
 use redet_workloads::rng::StdRng;

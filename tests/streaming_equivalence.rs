@@ -1,13 +1,16 @@
-//! Seeded property suite for the incremental session API: session-fed
-//! matching must equal whole-word matching must equal the Glushkov DFA
-//! baseline, for **every** strategy — including counted expressions and
-//! native `e+` models — and a `Rejected` step at event `i` must be final
-//! (no extension of the rejected prefix is ever accepted).
+//! Seeded property suite for the flat stepping interface the validator
+//! runs (`pos_begin`/`pos_advance`/`pos_can_end`, and `reset`/`step`/
+//! `state_accepts` for counted models). For **every** strategy — including
+//! counted expressions and native `e+` models — stepping a word must agree
+//! with whole-word matching, the Glushkov DFA baseline, and the NFA
+//! language oracle at every prefix; the first failed step must land on the
+//! event where the oracle dies; and that failure must be final (no
+//! extension of the rejected prefix is ever accepted).
 
 use redet::{
-    DeterministicRegex, GlushkovDfaMatcher, MatchScratch, MatchStrategy, Matcher,
-    NfaSimulationMatcher, Session, Symbol,
+    DeterministicRegex, GlushkovDfaMatcher, MatchStrategy, NfaSimulationMatcher, PosStepper, Symbol,
 };
+use redet_automata::NfaScratch;
 use redet_workloads as workloads;
 use redet_workloads::rng::StdRng;
 
@@ -44,32 +47,62 @@ const CORPUS: &[&str] = &[
     "a{3} (b + c)",
 ];
 
-/// Drives a session over `word`, returning the membership verdict and the
-/// event index of the first rejection, if any.
-fn session_verdict(model: &DeterministicRegex, word: &[Symbol]) -> (bool, Option<usize>) {
-    let mut session = model.start();
-    for &sym in word {
-        if !session.feed(sym).is_advanced() {
-            let witness = session
-                .rejection()
-                .expect("rejected sessions carry a witness");
-            return (false, Some(witness.event));
-        }
-    }
-    (session.accepts(), None)
+/// What stepping a word reports: whether each prefix read so far is in
+/// the language (`accepts[i]` for the first `i` symbols), and the event of
+/// the first failed step, if any (stepping stops there).
+#[derive(Debug, PartialEq, Eq)]
+struct Run {
+    accepts: Vec<bool>,
+    death: Option<usize>,
 }
 
-/// The event at which the language oracle (set-of-positions simulation of
-/// the counting-unrolled expression) dies on `word`, if it does. A dead
-/// oracle at event `i` means *no* word of the language extends `word[..i]`.
-fn oracle_death(oracle: &NfaSimulationMatcher, word: &[Symbol]) -> Option<usize> {
-    let mut session = oracle.session();
-    for &sym in word {
-        if !session.feed(sym).is_advanced() {
-            return Some(session.rejection().unwrap().event);
+/// Steps `state` through `word` with `step`, recording `accepts` after
+/// every symbol until the first failed step.
+fn run<S>(
+    mut state: S,
+    word: &[Symbol],
+    mut step: impl FnMut(&mut S, Symbol) -> bool,
+    accepts: impl Fn(&S) -> bool,
+) -> Run {
+    let mut out = Run {
+        accepts: vec![accepts(&state)],
+        death: None,
+    };
+    for (event, &symbol) in word.iter().enumerate() {
+        if !step(&mut state, symbol) {
+            out.death = Some(event);
+            break;
         }
+        out.accepts.push(accepts(&state));
     }
-    None
+    out
+}
+
+/// Steps `word` through `oracle`'s position sets.
+fn nfa_run(oracle: &NfaSimulationMatcher, word: &[Symbol]) -> Run {
+    let mut state = NfaScratch::new();
+    oracle.reset(&mut state);
+    run(
+        state,
+        word,
+        |state, symbol| oracle.step(state, symbol),
+        |state| oracle.state_accepts(state),
+    )
+}
+
+/// Steps `word` through `model` on the flat interface, as the schema
+/// validator does: a position for counting-free models, the counted
+/// simulation's position set otherwise.
+fn flat_run(model: &DeterministicRegex, word: &[Symbol]) -> Run {
+    match model.pos_begin() {
+        Some(begin) => run(
+            begin,
+            word,
+            |p, symbol| model.pos_advance(*p, symbol).map(|q| *p = q).is_some(),
+            |&p| model.pos_can_end(p),
+        ),
+        None => nfa_run(model.counted_matcher().expect("counted model"), word),
+    }
 }
 
 /// The model's expression with counters unrolled (re-normalized, because
@@ -113,8 +146,9 @@ fn sample_words(model: &DeterministicRegex, seed: u64) -> Vec<Vec<Symbol>> {
 }
 
 /// Asserts the full equivalence bundle for one compiled model on one word:
-/// session == whole-word == scratch-reusing whole-word, and agreement with
-/// the reference verdict.
+/// the flat run equals the oracle's run (verdict at every prefix, event of
+/// death), whole-word matching equals the reference verdict, and a failed
+/// step is final.
 fn assert_equivalent(
     model: &DeterministicRegex,
     oracle: &NfaSimulationMatcher,
@@ -122,33 +156,23 @@ fn assert_equivalent(
     expected: bool,
     context: &str,
 ) {
-    let (session_result, death) = session_verdict(model, word);
-    assert_eq!(session_result, expected, "session vs reference: {context}");
+    let flat = flat_run(model, word);
+    assert_eq!(flat, nfa_run(oracle, word), "flat run vs oracle: {context}");
+    assert_eq!(
+        flat.death.is_none() && flat.accepts[word.len()],
+        expected,
+        "flat verdict vs reference: {context}"
+    );
     assert_eq!(
         model.matches_symbols(word),
         expected,
         "whole-word vs reference: {context}"
     );
-    let mut scratch = MatchScratch::new();
-    assert_eq!(
-        model.matches_symbols_with(word, &mut scratch),
-        expected,
-        "scratch-reusing vs reference: {context}"
-    );
-    // Early-reject: the session dies exactly when the language oracle does —
-    // i.e. at the earliest event after which no extension can be accepted.
-    assert_eq!(
-        death,
-        oracle_death(oracle, word),
-        "rejection event vs oracle: {context}"
-    );
-    if let Some(event) = death {
+    if let Some(event) = flat.death {
         // Direct witness of finality: no sampled extension of the rejected
         // prefix is accepted.
-        let prefix = &word[..event];
         let symbols: Vec<Symbol> = model.alphabet().symbols().collect();
-        let mut extended = prefix.to_vec();
-        extended.push(word[event]);
+        let mut extended = word[..=event].to_vec();
         for &extra in symbols.iter().take(3) {
             extended.push(extra);
             assert!(
@@ -159,21 +183,36 @@ fn assert_equivalent(
     }
 }
 
+/// Reference verdicts for `words`: the language oracle, cross-checked
+/// against the Glushkov DFA wherever the model is counting-free.
+fn reference_verdicts(
+    model: &DeterministicRegex,
+    oracle: &NfaSimulationMatcher,
+    words: &[Vec<Symbol>],
+) -> Vec<bool> {
+    let dfa = GlushkovDfaMatcher::from_tree(model.analysis().tree())
+        .ok()
+        .filter(|_| !model.stats().counting);
+    words
+        .iter()
+        .map(|w| {
+            let want = oracle.matches(w);
+            if let Some(dfa) = &dfa {
+                assert_eq!(dfa.matches(w), want, "DFA vs oracle on {w:?}");
+            }
+            want
+        })
+        .collect()
+}
+
 #[test]
-fn corpus_sessions_agree_across_all_strategies() {
+fn corpus_verdicts_agree_across_all_strategies() {
     for input in CORPUS {
         let reference = DeterministicRegex::compile(input)
             .unwrap_or_else(|e| panic!("{input} should compile: {e}"));
         let oracle = oracle_for(&reference);
         let words = sample_words(&reference, 0xDEADBEEF);
-        // Reference verdicts: the Glushkov DFA where applicable, otherwise
-        // (counted expressions) the language oracle.
-        let expected: Vec<bool> = match GlushkovDfaMatcher::from_tree(reference.analysis().tree()) {
-            Ok(dfa) if !reference.stats().counting => {
-                words.iter().map(|w| dfa.matches(w)).collect()
-            }
-            _ => words.iter().map(|w| oracle.matches(w)).collect(),
-        };
+        let expected = reference_verdicts(&reference, &oracle, &words);
         for &strategy in ALL_STRATEGIES {
             let Ok(model) = reference.with_strategy(strategy) else {
                 continue; // strategy not applicable to this expression
@@ -211,7 +250,7 @@ fn seeded_random_expressions_stream_like_they_match() {
         checked += 1;
         let oracle = oracle_for(&reference);
         let words = sample_words(&reference, seed);
-        let expected: Vec<bool> = words.iter().map(|w| oracle.matches(w)).collect();
+        let expected = reference_verdicts(&reference, &oracle, &words);
         for &strategy in ALL_STRATEGIES {
             let Ok(model) = reference.with_strategy(strategy) else {
                 continue;
@@ -232,8 +271,9 @@ fn seeded_random_expressions_stream_like_they_match() {
 #[test]
 fn schema_sized_dtd_streams_equivalently() {
     // The acceptance-scale schema: a DTD with 20+ element declarations
-    // compiles into one Arc<Schema>, and for every element the streaming
-    // session verdicts equal whole-word matching on sampled child words.
+    // compiles into one Arc<Schema>, and for every element the flat
+    // stepping runs equal the oracle and whole-word matching on sampled
+    // child words.
     let schema = redet::SchemaBuilder::new()
         .parse_dtd(workloads::BOOK_DTD)
         .build()
@@ -248,12 +288,13 @@ fn schema_sized_dtd_streams_equivalently() {
             continue;
         };
         let oracle = oracle_for(model);
-        for word in sample_words(model, 0xB00C ^ sym.index() as u64) {
-            let want = oracle.matches(&word);
+        let words = sample_words(model, 0xB00C ^ sym.index() as u64);
+        let expected = reference_verdicts(model, &oracle, &words);
+        for (word, want) in words.iter().zip(expected) {
             assert_equivalent(
                 model,
                 &oracle,
-                &word,
+                word,
                 want,
                 &format!("<{}> {word:?}", schema.name(sym)),
             );
