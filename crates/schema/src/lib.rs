@@ -78,7 +78,7 @@ mod validator;
 
 pub use pool::ValidatorPool;
 pub use registry::{content_hash, Provenance, Registry, RegistryStats, SharedSchema};
-pub use service::{DocId, FeedStatus, ServiceLimits, ValidationService};
+pub use service::{in_flight_refusal, DocId, FeedStatus, ServiceLimits, ValidationService};
 pub use tokenizer::{Tag, Tokenizer};
 pub use validator::{DocEvent, DocumentValidator};
 

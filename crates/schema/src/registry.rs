@@ -11,7 +11,10 @@
 //!   ([`content_hash`]), so byte-identical schema text — across tenants,
 //!   reconnects, and repeated `redet serve --schema` flags — compiles
 //!   exactly once and shares one `Arc<Schema>`. Hit/miss/compile counters
-//!   ([`Registry::stats`]) make the dedup auditable.
+//!   ([`Registry::stats`]) make the dedup auditable. The cache holds at
+//!   most [`MAX_CACHED`] artifacts and evicts the least recently used, so
+//!   a stream of distinct texts cannot pin memory for the life of the
+//!   process.
 //! * **Concurrent corpus compilation** — [`Registry::compile_corpus`] fans
 //!   a batch of DTD sources across `std::thread::scope` workers (the same
 //!   sharding pattern as [`crate::ValidatorPool`]), deduplicating by hash
@@ -45,7 +48,12 @@ use crate::{Schema, SchemaBuilder};
 use redet_core::Diagnostic;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
+
+/// How many compiled artifacts the content-hash cache keeps. Past it the
+/// least recently used artifact is evicted (it stays alive for as long as
+/// anything else holds its `Arc`).
+pub const MAX_CACHED: usize = 64;
 
 /// 128-bit FNV-1a offset basis.
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -160,10 +168,15 @@ impl SharedSchema {
     /// earlier loads keep the artifact they bound.
     pub fn publish(&self, schema: Arc<Schema>) -> u64 {
         let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
-        *slot = schema;
+        let old = std::mem::replace(&mut *slot, schema);
         // Bumped while the write lock is held, so epoch observations under
         // a subsequent load() are never behind the artifact they saw.
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        drop(slot);
+        // The superseded artifact may be its last reference: free it
+        // outside the lock.
+        drop(old);
+        epoch
     }
 
     /// How many times [`SharedSchema::publish`] has replaced the artifact
@@ -185,12 +198,16 @@ impl SharedSchema {
 /// [`SharedSchema`] handle, which front ends watch for hot-swaps.
 ///
 /// The registry itself is single-writer (`&mut self` for compilation and
-/// publishing) — concurrency lives in `compile_corpus`'s scoped workers
-/// and in the `SharedSchema` handles, which are freely shared across
-/// threads.
+/// publishing) — concurrency lives in `compile_corpus`'s scoped workers,
+/// in the `SharedSchema` handles, which are freely shared across threads,
+/// and in [`Registry::compile_shared`], which compiles through a registry
+/// behind a `Mutex` without holding the lock across the compile.
 #[derive(Debug, Default)]
 pub struct Registry {
-    cache: HashMap<u128, Arc<Schema>>,
+    /// Artifact plus the `clock` value of its last use, for LRU eviction.
+    cache: HashMap<u128, (Arc<Schema>, u64)>,
+    /// Bumped on every cache use.
+    clock: u64,
     slots: Vec<(String, Arc<SharedSchema>)>,
     hits: u64,
     misses: u64,
@@ -220,15 +237,70 @@ impl Registry {
         source: &str,
     ) -> Result<(Arc<Schema>, Provenance), Diagnostic> {
         let hash = content_hash(source);
-        if let Some(schema) = self.cache.get(&hash) {
-            self.hits += 1;
-            return Ok((Arc::clone(schema), Provenance::Cached));
+        if let Some(schema) = self.lookup(hash) {
+            return Ok((schema, Provenance::Cached));
         }
+        let built = Self::build_one(source);
+        self.record(hash, &built);
+        built.map(|schema| (schema, Provenance::Compiled))
+    }
+
+    /// [`Registry::compile_traced`] through a registry shared behind a
+    /// `Mutex`: the lock is held for the cache lookup and for recording the
+    /// result, never across the compile itself or while an evicted
+    /// artifact is dropped, so one slow compile does not stall other
+    /// threads' cache hits. Two threads missing on the same text at once
+    /// both compile it; the later result replaces the earlier in the
+    /// cache.
+    pub fn compile_shared(
+        registry: &Mutex<Registry>,
+        source: &str,
+    ) -> Result<(Arc<Schema>, Provenance), Diagnostic> {
+        let lock = || registry.lock().unwrap_or_else(PoisonError::into_inner);
+        let hash = content_hash(source);
+        if let Some(schema) = lock().lookup(hash) {
+            return Ok((schema, Provenance::Cached));
+        }
+        let built = Self::build_one(source);
+        let evicted = lock().record(hash, &built);
+        drop(evicted);
+        built.map(|schema| (schema, Provenance::Compiled))
+    }
+
+    /// A cache hit (counted, and marked most recently used), or `None`.
+    fn lookup(&mut self, hash: u128) -> Option<Arc<Schema>> {
+        self.clock += 1;
+        let (schema, used) = self.cache.get_mut(&hash)?;
+        *used = self.clock;
+        self.hits += 1;
+        Some(Arc::clone(schema))
+    }
+
+    /// Counts one compile of `hash` and caches a successful result,
+    /// returning the artifact it evicted, if any, for the caller to drop.
+    fn record(
+        &mut self,
+        hash: u128,
+        built: &Result<Arc<Schema>, Diagnostic>,
+    ) -> Option<Arc<Schema>> {
         self.misses += 1;
         self.compiled += 1;
-        let schema = Self::build_one(source)?;
-        self.cache.insert(hash, Arc::clone(&schema));
-        Ok((schema, Provenance::Compiled))
+        let schema = built.as_ref().ok()?;
+        self.insert(hash, Arc::clone(schema))
+    }
+
+    /// Caches `schema` under `hash` as the most recently used artifact,
+    /// evicting the least recently used one past [`MAX_CACHED`].
+    fn insert(&mut self, hash: u128, schema: Arc<Schema>) -> Option<Arc<Schema>> {
+        self.clock += 1;
+        if let Some((old, _)) = self.cache.insert(hash, (schema, self.clock)) {
+            return Some(old);
+        }
+        if self.cache.len() <= MAX_CACHED {
+            return None;
+        }
+        let (&oldest, _) = self.cache.iter().min_by_key(|(_, (_, used))| *used)?;
+        self.cache.remove(&oldest).map(|(schema, _)| schema)
     }
 
     /// Compiles a batch of DTD sources across up to `workers` scoped
@@ -253,14 +325,16 @@ impl Registry {
             .iter()
             .map(|source| content_hash(source.as_ref()))
             .collect();
-        let cached_at_entry: Vec<bool> = hashes
+        // Artifacts cached at entry are taken now: the batch's own inserts
+        // may evict them before the results are assembled.
+        let cached_at_entry: Vec<Option<Arc<Schema>>> = hashes
             .iter()
-            .map(|hash| self.cache.contains_key(hash))
+            .map(|hash| self.cache.get(hash).map(|(schema, _)| Arc::clone(schema)))
             .collect();
         // Dedup before spawning: one job per distinct uncached text.
         let mut pending: Vec<(u128, &str)> = Vec::new();
         for (index, &hash) in hashes.iter().enumerate() {
-            if !cached_at_entry[index] && !pending.iter().any(|&(seen, _)| seen == hash) {
+            if cached_at_entry[index].is_none() && !pending.iter().any(|&(seen, _)| seen == hash) {
                 pending.push((hash, sources[index].as_ref()));
             }
         }
@@ -295,13 +369,16 @@ impl Registry {
         }
 
         self.compiled += pending.len() as u64;
-        let mut failures: Vec<(u128, Diagnostic)> = Vec::new();
-        for ((hash, _), outcome) in pending.iter().zip(outcomes) {
-            match outcome.expect("every shard fills its assigned slots") {
-                Ok(schema) => {
-                    self.cache.insert(*hash, schema);
-                }
-                Err(diagnostic) => failures.push((*hash, diagnostic)),
+        let built: Vec<(u128, Result<Arc<Schema>, Diagnostic>)> = pending
+            .iter()
+            .zip(outcomes)
+            .map(|(&(hash, _), outcome)| {
+                (hash, outcome.expect("every shard fills its assigned slots"))
+            })
+            .collect();
+        for (hash, outcome) in &built {
+            if let Ok(schema) = outcome {
+                self.insert(*hash, Arc::clone(schema));
             }
         }
 
@@ -309,26 +386,25 @@ impl Registry {
         hashes
             .iter()
             .zip(cached_at_entry)
-            .map(|(&hash, was_cached)| {
-                if let Some(schema) = self.cache.get(&hash) {
-                    // First occurrence of a batch-compiled text is the
-                    // miss; its batch-mates hit the just-filled cache.
-                    if was_cached || counted_first.contains(&hash) {
-                        self.hits += 1;
-                    } else {
-                        self.misses += 1;
-                        counted_first.push(hash);
-                    }
-                    Ok(Arc::clone(schema))
+            .map(|(&hash, cached)| {
+                if let Some(schema) = cached {
+                    self.hits += 1;
+                    return Ok(schema);
+                }
+                let (_, outcome) = built
+                    .iter()
+                    .find(|(built_hash, _)| *built_hash == hash)
+                    .expect("every uncached source was compiled in this batch");
+                // First occurrence of a batch-compiled text is the miss;
+                // its batch-mates hit the just-filled cache. Failures are
+                // never cached, so every occurrence misses.
+                if outcome.is_ok() && counted_first.contains(&hash) {
+                    self.hits += 1;
                 } else {
                     self.misses += 1;
-                    let diagnostic = failures
-                        .iter()
-                        .find(|(failed, _)| *failed == hash)
-                        .map(|(_, diagnostic)| diagnostic.clone())
-                        .expect("uncached batch source must have a recorded failure");
-                    Err(diagnostic)
+                    counted_first.push(hash);
                 }
+                outcome.clone()
             })
             .collect()
     }
@@ -433,6 +509,48 @@ mod tests {
         assert!(registry.compile(bad).is_err());
         let stats = registry.stats();
         assert_eq!((stats.misses, stats.compiled, stats.cached), (2, 2, 0));
+    }
+
+    #[test]
+    fn cache_evicts_the_least_recently_used() {
+        let mut registry = Registry::new();
+        let texts: Vec<String> = (0..MAX_CACHED + 10)
+            .map(|i| note_dtd(&format!("{i}")))
+            .collect();
+        let first = registry.compile(&texts[0]).unwrap();
+        for text in &texts[1..] {
+            registry.compile(text).unwrap();
+            // Keep the first text hot: it survives every eviction.
+            registry.compile(&texts[0]).unwrap();
+        }
+        assert_eq!(registry.stats().cached, MAX_CACHED);
+        let (again, provenance) = registry.compile_traced(&texts[0]).unwrap();
+        assert_eq!(provenance, Provenance::Cached);
+        assert!(Arc::ptr_eq(&first, &again));
+        let last = texts.last().unwrap();
+        assert_eq!(registry.compile_traced(last).unwrap().1, Provenance::Cached);
+        // The oldest cold texts were evicted and compile again.
+        assert_eq!(
+            registry.compile_traced(&texts[1]).unwrap().1,
+            Provenance::Compiled
+        );
+        assert_eq!(registry.stats().cached, MAX_CACHED);
+    }
+
+    #[test]
+    fn shared_compiles_go_through_the_cache() {
+        let registry = Mutex::new(Registry::new());
+        let text = note_dtd("");
+        let (a, first) = Registry::compile_shared(&registry, &text).unwrap();
+        let (b, second) = Registry::compile_shared(&registry, &text).unwrap();
+        assert_eq!((first, second), (Provenance::Compiled, Provenance::Cached));
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Registry::compile_shared(&registry, "<!ELEMENT a (b | b)>").is_err());
+        let stats = registry.lock().unwrap().stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.compiled, stats.cached),
+            (1, 2, 2, 1)
+        );
     }
 
     #[test]

@@ -86,25 +86,20 @@ pub struct DocId {
     /// The issuing service's identity (see [`NEXT_SERVICE_ID`]).
     service: u32,
     index: u32,
-    /// The generation *word*: the low 16 bits are the slot's recycling
-    /// generation (staleness detection), the high 16 bits carry the
-    /// service's routing [`ValidationService::tag`] — a multi-schema
-    /// dispatch layer recovers which service issued a handle from the
-    /// handle alone (see [`DocId::tag`]).
+    /// The slot's recycling generation (staleness detection).
     generation: u32,
 }
 
-impl DocId {
-    /// The issuing service's 16-bit routing tag, carried in the high half
-    /// of the generation word. A front end serving several schemas tags
-    /// each schema's service with its registry index
-    /// ([`ValidationService::set_tag`]) and routes any handle back to the
-    /// right service without tracking the mapping per connection. Untagged
-    /// services issue tag `0`.
-    #[must_use]
-    pub fn tag(self) -> u16 {
-        (self.generation >> 16) as u16
-    }
+/// The [`Code::ServiceOverloaded`] (`E305`) refusal for admission past an
+/// in-flight cap of `max` documents — the one place its text is built, so
+/// a front end that counts admissions itself refuses byte-identically to
+/// [`ValidationService::try_open`].
+#[must_use]
+pub fn in_flight_refusal(max: u32) -> Diagnostic {
+    Diagnostic::new(
+        Code::ServiceOverloaded,
+        format!("service is at its in-flight handle cap of {max}"),
+    )
 }
 
 /// What feeding a chunk did to an in-flight document.
@@ -292,13 +287,11 @@ enum DocState {
     Swept(Diagnostic),
 }
 
-/// One slab slot. `generation` (16 bits, wrapping — the low half of the
-/// handle's generation word; the high half carries the service's routing
-/// tag) is bumped on every free, so stale [`DocId`]s are detected instead
-/// of resolving to a recycled document. A handle can only alias after
-/// exactly 65 536 reuses of its slot while it is still being held — a
-/// caller sitting on a dead handle across that much churn is already
-/// outside every serving contract.
+/// One slab slot. `generation` (wrapping) is bumped on every free, so
+/// stale [`DocId`]s are detected instead of resolving to a recycled
+/// document. A handle can only alias after exactly 2^32 reuses of its slot
+/// while it is still being held — a caller sitting on a dead handle across
+/// that much churn is already outside every serving contract.
 struct Slot {
     generation: u32,
     doc: Option<DocState>,
@@ -335,9 +328,6 @@ struct Slot {
 pub struct ValidationService {
     /// This service's identity, stamped into every issued [`DocId`].
     id: u32,
-    /// The routing tag stamped into the high half of every issued handle's
-    /// generation word; see [`ValidationService::set_tag`].
-    tag: u16,
     schema: Arc<Schema>,
     limits: ServiceLimits,
     /// The logical clock: the largest `now` any [`ValidationService::tick`]
@@ -365,7 +355,6 @@ impl ValidationService {
     pub fn with_limits(schema: Arc<Schema>, limits: ServiceLimits) -> Self {
         ValidationService {
             id: NEXT_SERVICE_ID.fetch_add(1, Ordering::Relaxed),
-            tag: 0,
             schema,
             limits,
             now: 0,
@@ -425,22 +414,6 @@ impl ValidationService {
         self.limits
     }
 
-    /// Sets the 16-bit routing tag stamped into the high half of the
-    /// generation word of every *subsequently* issued handle (see
-    /// [`DocId::tag`]). The tag is routing metadata only — staleness
-    /// detection uses the low half of the word, so handles issued before a
-    /// tag change stay valid. Multi-schema front ends set each service's
-    /// tag to its registry index at startup, before opening documents.
-    pub fn set_tag(&mut self, tag: u16) {
-        self.tag = tag;
-    }
-
-    /// The routing tag currently stamped into issued handles (0 unless
-    /// [`ValidationService::set_tag`] was called).
-    pub fn tag(&self) -> u16 {
-        self.tag
-    }
-
     /// Number of currently open documents — live handles plus swept
     /// tombstones whose cause has not been collected yet. Slab hygiene is
     /// observable here: every `open` is balanced by exactly one
@@ -476,10 +449,7 @@ impl ValidationService {
     pub fn try_open(&mut self) -> Result<DocId, Diagnostic> {
         if let Some(max) = self.limits.max_in_flight {
             if self.in_flight() >= max as usize {
-                return Err(Diagnostic::new(
-                    Code::ServiceOverloaded,
-                    format!("service is at its in-flight handle cap of {max}"),
-                ));
+                return Err(in_flight_refusal(max));
             }
         }
         let mut flight = self.spare.pop().unwrap_or_else(|| InFlight {
@@ -517,7 +487,7 @@ impl ValidationService {
         Ok(DocId {
             service: self.id,
             index,
-            generation: (u32::from(self.tag) << 16) | slot.generation,
+            generation: slot.generation,
         })
     }
 
@@ -885,13 +855,11 @@ impl ValidationService {
         );
     }
 
-    /// The generation-checked state of a handle (`None` when stale). Only
-    /// the low half of the generation word is compared — the high half is
-    /// the routing tag, which never affects staleness.
+    /// The generation-checked state of a handle (`None` when stale).
     fn doc_state(&self, doc: DocId) -> Option<&DocState> {
         self.slots
             .get(doc.index as usize)
-            .filter(|slot| slot.generation == doc.generation & 0xFFFF)
+            .filter(|slot| slot.generation == doc.generation)
             .and_then(|slot| slot.doc.as_ref())
     }
 
@@ -899,7 +867,7 @@ impl ValidationService {
     fn doc_state_mut(&mut self, doc: DocId) -> Option<&mut DocState> {
         self.slots
             .get_mut(doc.index as usize)
-            .filter(|slot| slot.generation == doc.generation & 0xFFFF)
+            .filter(|slot| slot.generation == doc.generation)
             .and_then(|slot| slot.doc.as_mut())
     }
 
@@ -909,9 +877,9 @@ impl ValidationService {
         let slot = self
             .slots
             .get_mut(doc.index as usize)
-            .filter(|slot| slot.generation == doc.generation & 0xFFFF)?;
+            .filter(|slot| slot.generation == doc.generation)?;
         let state = slot.doc.take()?;
-        slot.generation = (slot.generation + 1) & 0xFFFF;
+        slot.generation = slot.generation.wrapping_add(1);
         self.free.push(doc.index);
         Some(state)
     }
@@ -1180,43 +1148,6 @@ mod tests {
             FeedStatus::Accepted
         );
         assert!(service.finish(doc).is_ok());
-    }
-
-    #[test]
-    fn tags_ride_the_generation_word() {
-        let schema = bibliography();
-        let doc_events = events(&schema, VALID);
-        let mut service = ValidationService::new(Arc::clone(&schema));
-        assert_eq!(service.tag(), 0);
-        service.set_tag(7);
-        assert_eq!(service.tag(), 7);
-        // The tag is observable on the handle and does not disturb feeding.
-        let h = service.open();
-        assert_eq!(h.tag(), 7);
-        assert_eq!(service.feed(h, &doc_events), FeedStatus::Accepted);
-        assert!(service.finish(h).is_ok());
-        // Staleness detection survives tagging: the released handle is dead
-        // even though its slot was recycled under the same tag.
-        let h2 = service.open();
-        assert_eq!(h2.tag(), 7);
-        assert_eq!(service.feed(h, &doc_events), FeedStatus::Stale);
-        service.close(h2);
-        // A tag change is routing metadata only: handles issued before it
-        // stay valid.
-        let h3 = service.open();
-        service.set_tag(9);
-        assert_eq!(service.feed(h3, &doc_events), FeedStatus::Accepted);
-        assert!(service.finish(h3).is_ok());
-        // The 16-bit slot generation wraps without ever resurrecting the
-        // original stale handle.
-        let dead = service.open();
-        service.close(dead);
-        for _ in 0..0x10000 {
-            let h = service.open();
-            service.close(h);
-        }
-        assert_eq!(service.status(dead), FeedStatus::Stale);
-        assert_eq!(service.in_flight(), 0);
     }
 
     #[test]

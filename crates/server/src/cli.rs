@@ -42,14 +42,18 @@ USAGE:
     redet serve --addr <host:port> --schema <id>=<schema.dtd> [--schema ...]
                 [--max-in-flight N] [--max-depth N] [--max-bytes N]
                 [--max-events N] [--max-name-len N] [--idle-timeout TICKS]
-                [--tick-ms MS] [--no-shutdown-command] [--no-publish-command]
+                [--tick-ms MS] [--max-connections N]
+                [--no-shutdown-command] [--no-publish-command]
         Serve the wire protocol: 'V <id> <len>\\n<body>' (framed, pipelines)
         or 'V <id>\\n<body>' (unframed, one per connection); one response
         line per request; 'P <id> <len>\\n<dtd>' hot-swaps a schema and 'Q'
-        drains and exits, unless disabled. Schemas load through the
-        content-hashed registry cache (startup prints compiled/cached
-        provenance per id; identical DTD text compiles once). Prints
-        'listening on <addr>' once the socket is bound.
+        drains and exits, unless disabled. Every connection gets its own
+        thread; --max-connections (default 1024) caps them, refusing the
+        rest with one E305 line. --idle-timeout also closes connections
+        idle between requests. Schemas load through the content-hashed
+        registry cache (startup prints compiled/cached provenance per id;
+        identical DTD text compiles once). Prints 'listening on <addr>'
+        once the socket is bound.
 
     redet request --addr <host:port> --schema <id> <doc.xml>
         Send one framed request to a running server and print the response.
@@ -266,7 +270,7 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, i32> {
 }
 
 /// `redet serve`: load every `--schema id=path` into a router, bind the
-/// address, print `listening on <addr>`, and run the poll loop to drain.
+/// address, print `listening on <addr>`, and serve until drained.
 fn cmd_serve(args: &[String]) -> i32 {
     let mut addr: Option<String> = None;
     let mut schemas: Vec<(String, String)> = Vec::new();
@@ -305,6 +309,9 @@ fn cmd_serve(args: &[String]) -> i32 {
             "--tick-ms" => take_value(arg, &mut iter)
                 .and_then(|v| parse_num(arg, v))
                 .map(|n: u64| config.tick_interval = Duration::from_millis(n.max(1))),
+            "--max-connections" => take_value(arg, &mut iter)
+                .and_then(|v| parse_num(arg, v))
+                .map(|n| config.max_connections = n),
             "--no-shutdown-command" => {
                 config.allow_shutdown_command = false;
                 Ok(())

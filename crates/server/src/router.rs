@@ -1,36 +1,76 @@
-//! Multi-schema dispatch: one [`ValidationService`] per registered schema,
-//! routed by the schema id carried in every handle's generation word.
+//! Multi-schema dispatch: a shared, read-mostly table of routes, one per
+//! registered schema id.
 //!
-//! A deployment serves more than one document type. The router holds a
-//! small registry of `(schema id, ValidationService)` pairs — each service
-//! tagged with its registry index via [`ValidationService::set_tag`] — and
-//! exposes the same handle-shaped surface as a single service. Opening
-//! names a schema; every later operation recovers the owning service from
-//! [`DocId::tag`] alone, so the front end tracks nothing per connection
-//! beyond the handle itself.
+//! A deployment serves more than one document type. Each route holds the
+//! schema's [`SharedSchema`] hot-swap handle, the [`ServiceLimits`] its
+//! documents are governed by, and an atomic count of the documents in
+//! flight under it. The table is built at startup (`redet serve --schema
+//! …` loads DTD files before binding the socket) and is read-only after
+//! that, so every connection thread shares it without a lock:
 //!
-//! Registration is a startup concern (`redet serve --schemas …` loads DTD
-//! files before binding the socket); after that the router is all hot
-//! path: routing is one bounds-checked index. [`SchemaRouter::tick`]
-//! forwards the logical clock to every service so idle sweeping governs
-//! all schemas uniformly.
+//! - [`SchemaRouter::admit`] is `E305` admission control — one atomic
+//!   increment against the route's in-flight cap, released when the
+//!   returned [`Admission`] drops;
+//! - [`SchemaRouter::publish`] is one [`SharedSchema::publish`]: documents
+//!   already admitted keep the `Arc<Schema>` they loaded, later admissions
+//!   load the new one.
+//!
+//! Documents themselves are not routed here: each connection validates
+//! its requests on its own [`redet_schema::ValidationService`] per route,
+//! bound to the route's current schema before every open.
 
 use redet_core::{Code, Diagnostic};
-use redet_schema::{DocEvent, DocId, FeedStatus, Schema, ServiceLimits, ValidationService};
+use redet_schema::registry::SharedSchema;
+use redet_schema::{in_flight_refusal, Schema, ServiceLimits, ValidationService};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// One registered schema: its wire id and its dedicated service.
-struct Entry {
+/// One registered schema id.
+struct Route {
     id: String,
-    schema: Arc<Schema>,
-    service: ValidationService,
+    schema: Arc<SharedSchema>,
+    limits: ServiceLimits,
+    /// Documents admitted under this route and not yet finished.
+    in_flight: AtomicU32,
 }
 
-/// A registry of validation services keyed by schema id; see the module
-/// docs.
+/// The table of schema routes; see the module docs.
 #[derive(Default)]
 pub struct SchemaRouter {
-    entries: Vec<Entry>,
+    routes: Vec<Route>,
+}
+
+/// One admitted document's claim on its route's in-flight budget,
+/// released on drop.
+pub struct Admission<'a> {
+    route: &'a Route,
+    index: usize,
+}
+
+impl Admission<'_> {
+    /// The route's index, in registration order.
+    #[must_use]
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// The route's currently published schema.
+    #[must_use]
+    pub fn schema(&self) -> Arc<Schema> {
+        self.route.schema.load()
+    }
+
+    /// The limits documents under this route are governed by.
+    #[must_use]
+    pub fn limits(&self) -> ServiceLimits {
+        self.route.limits
+    }
+}
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        self.route.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 impl SchemaRouter {
@@ -41,10 +81,9 @@ impl SchemaRouter {
     }
 
     /// Registers `schema` under the wire id `id`, governed by `limits`,
-    /// and returns its routing tag (the registry index). Ids must be
-    /// unique ([`Code::DuplicateSchema`]) and the registry is capped at
-    /// `u16::MAX` entries — the width of the tag field in the handle's
-    /// generation word.
+    /// and returns the route's index. Ids must be unique
+    /// ([`Code::DuplicateSchema`]) and the table is capped at `u16::MAX`
+    /// routes.
     pub fn register(
         &mut self,
         id: impl Into<String>,
@@ -52,196 +91,104 @@ impl SchemaRouter {
         limits: ServiceLimits,
     ) -> Result<u16, Diagnostic> {
         let id = id.into();
-        if self.entries.iter().any(|entry| entry.id == id) {
+        if self.routes.iter().any(|route| route.id == id) {
             return Err(Diagnostic::new(
                 Code::DuplicateSchema,
                 format!("schema id '{id}' is already registered"),
             ));
         }
-        let Ok(tag) = u16::try_from(self.entries.len()) else {
+        let Ok(index) = u16::try_from(self.routes.len()) else {
             return Err(Diagnostic::new(
                 Code::DuplicateSchema,
                 "schema registry is full (65535 schemas)",
             ));
         };
-        let mut service = ValidationService::with_limits(Arc::clone(&schema), limits);
-        service.set_tag(tag);
-        self.entries.push(Entry {
+        self.routes.push(Route {
             id,
-            schema,
-            service,
+            schema: Arc::new(SharedSchema::new(schema)),
+            limits,
+            in_flight: AtomicU32::new(0),
         });
-        Ok(tag)
+        Ok(index)
     }
 
-    /// Hot-swaps the schema registered under `id`: documents already in
-    /// flight keep validating against the artifact they opened under, new
-    /// opens bind `schema`, and the old artifact drops when its last
-    /// in-flight handle finishes (see
-    /// [`ValidationService::swap_schema`]). Returns the entry's routing
-    /// tag; unknown ids refuse with [`Code::UnknownSchema`] — a publish
-    /// never creates a new wire id, so a fleet's id set stays a startup
-    /// decision.
-    pub fn publish(&mut self, id: &str, schema: Arc<Schema>) -> Result<u16, Diagnostic> {
-        match self
-            .entries
-            .iter_mut()
-            .enumerate()
-            .find(|(_, entry)| entry.id == id)
-        {
-            Some((tag, entry)) => {
-                entry.service.swap_schema(Arc::clone(&schema));
-                entry.schema = schema;
-                Ok(tag as u16)
-            }
-            None => Err(Diagnostic::new(
-                Code::UnknownSchema,
-                format!("no schema registered under id '{id}'"),
-            )),
-        }
+    /// Hot-swaps the schema registered under `id`: documents already
+    /// admitted keep validating against the artifact they loaded, later
+    /// admissions load `schema`, and the old artifact drops with its last
+    /// holder. Returns the route's index; unknown ids refuse with
+    /// [`Code::UnknownSchema`] — a publish never creates a new wire id, so
+    /// a fleet's id set stays a startup decision.
+    pub fn publish(&self, id: &str, schema: Arc<Schema>) -> Result<u16, Diagnostic> {
+        let index = self.find(id)?;
+        self.routes[index].schema.publish(schema);
+        Ok(index as u16)
     }
 
     /// Number of registered schemas.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.routes.len()
     }
 
     /// Whether no schema is registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.routes.is_empty()
     }
 
-    /// The registered schema ids, in registration (tag) order.
+    /// The registered schema ids, in registration (index) order.
     pub fn ids(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|entry| entry.id.as_str())
+        self.routes.iter().map(|route| route.id.as_str())
     }
 
-    /// The schema registered under `id`, if any.
-    #[must_use]
-    pub fn schema(&self, id: &str) -> Option<&Arc<Schema>> {
-        self.entries
+    /// The limits of every route, in registration order.
+    pub fn limits(&self) -> impl Iterator<Item = ServiceLimits> + '_ {
+        self.routes.iter().map(|route| route.limits)
+    }
+
+    /// The index of the route registered under `id`, or the
+    /// [`Code::UnknownSchema`] refusal.
+    pub fn find(&self, id: &str) -> Result<usize, Diagnostic> {
+        self.routes
             .iter()
-            .find(|entry| entry.id == id)
-            .map(|entry| &entry.schema)
+            .position(|route| route.id == id)
+            .ok_or_else(|| {
+                Diagnostic::new(
+                    Code::UnknownSchema,
+                    format!("no schema registered under id '{id}'"),
+                )
+            })
     }
 
-    /// Opens an in-flight document against the schema registered under
-    /// `id`. Refuses with [`Code::UnknownSchema`] for unregistered ids and
-    /// forwards the service's own [`Code::ServiceOverloaded`] backpressure
-    /// at the in-flight cap.
-    pub fn open(&mut self, id: &str) -> Result<DocId, Diagnostic> {
-        match self.entries.iter_mut().find(|entry| entry.id == id) {
-            Some(entry) => entry.service.try_open(),
-            None => Err(Diagnostic::new(
-                Code::UnknownSchema,
-                format!("no schema registered under id '{id}'"),
-            )),
+    /// Admits one document under route `index`, or refuses with the
+    /// service's own [`Code::ServiceOverloaded`] diagnostic when the
+    /// route's in-flight cap is reached.
+    ///
+    /// # Panics
+    /// Panics if `index` names no route.
+    pub fn admit(&self, index: usize) -> Result<Admission<'_>, Diagnostic> {
+        let route = &self.routes[index];
+        let held = route.in_flight.fetch_add(1, Ordering::AcqRel);
+        let admission = Admission { route, index };
+        match route.limits.max_in_flight() {
+            Some(max) if held >= max => Err(in_flight_refusal(max)),
+            _ => Ok(admission),
         }
     }
 
-    /// Routes [`ValidationService::feed`] to the handle's service.
-    #[must_use = "a rejected document should stop being fed"]
-    pub fn feed(&mut self, doc: DocId, events: &[DocEvent]) -> FeedStatus {
-        self.service_of_mut(doc).feed(doc, events)
-    }
-
-    /// Routes [`ValidationService::feed_bytes`] to the handle's service.
-    #[must_use = "a rejected document should stop being fed"]
-    pub fn feed_bytes(&mut self, doc: DocId, bytes: &[u8]) -> FeedStatus {
-        self.service_of_mut(doc).feed_bytes(doc, bytes)
-    }
-
-    /// Routes [`ValidationService::finish`] to the handle's service.
-    #[must_use = "the validation verdict is the point of finish()"]
-    pub fn finish(&mut self, doc: DocId) -> Result<(), Diagnostic> {
-        self.service_of_mut(doc).finish(doc)
-    }
-
-    /// Routes [`ValidationService::close`] to the handle's service.
-    pub fn close(&mut self, doc: DocId) {
-        self.service_of_mut(doc).close(doc);
-    }
-
-    /// Routes [`ValidationService::status`] to the handle's service.
-    #[must_use]
-    pub fn status(&self, doc: DocId) -> FeedStatus {
-        self.service_of(doc).status(doc)
-    }
-
-    /// Routes [`ValidationService::diagnostic`] to the handle's service.
-    #[must_use]
-    pub fn diagnostic(&self, doc: DocId) -> Option<&Diagnostic> {
-        self.service_of(doc).diagnostic(doc)
-    }
-
-    /// Routes [`ValidationService::is_swept`] to the handle's service.
-    #[must_use]
-    pub fn is_swept(&self, doc: DocId) -> bool {
-        self.service_of(doc).is_swept(doc)
-    }
-
-    /// Advances the logical clock of **every** registered service and
-    /// sweeps their idle handles; returns the total number swept.
-    pub fn tick(&mut self, now: u64) -> usize {
-        self.entries
-            .iter_mut()
-            .map(|entry| entry.service.tick(now))
-            .sum()
-    }
-
-    /// Total in-flight documents across all registered services.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|entry| entry.service.in_flight())
-            .sum()
-    }
-
     /// Validates one whole raw-byte document against the schema under
-    /// `id`: open + feed + finish in one call, admission-checked — the
-    /// loop the wire protocol runs per request, also rendered by
-    /// [`crate::wire::render_verdict`].
-    pub fn validate_bytes(&mut self, id: &str, bytes: &[u8]) -> Result<(), Diagnostic> {
-        let doc = self.open(id)?;
-        let _ = self.feed_bytes(doc, bytes);
-        self.finish(doc)
-    }
-
-    /// The service that issued `doc`, recovered from the handle's tag.
-    ///
-    /// # Panics
-    /// Panics if the tag names no registered schema — a handle from a
-    /// different router, the same programming-error contract as mixing
-    /// handles across services.
-    fn service_of(&self, doc: DocId) -> &ValidationService {
-        &self
-            .entries
-            .get(doc.tag() as usize)
-            .expect("DocId tag names no schema registered with this router")
-            .service
-    }
-
-    /// Mutable [`SchemaRouter::service_of`].
-    fn service_of_mut(&mut self, doc: DocId) -> &mut ValidationService {
-        &mut self
-            .entries
-            .get_mut(doc.tag() as usize)
-            .expect("DocId tag names no schema registered with this router")
-            .service
+    /// `id`: admission, then `try_open` + `feed_bytes` + `finish` — the
+    /// loop the wire protocol runs per request.
+    pub fn validate_bytes(&self, id: &str, bytes: &[u8]) -> Result<(), Diagnostic> {
+        let admission = self.admit(self.find(id)?)?;
+        ValidationService::with_limits(admission.schema(), admission.limits()).validate_bytes(bytes)
     }
 }
 
 impl std::fmt::Debug for SchemaRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SchemaRouter")
-            .field(
-                "schemas",
-                &self.entries.iter().map(|e| &e.id).collect::<Vec<_>>(),
-            )
-            .field("in_flight", &self.in_flight())
+            .field("schemas", &self.ids().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -270,38 +217,14 @@ mod tests {
     }
 
     #[test]
-    fn handles_route_to_their_schema() {
+    fn ids_route_to_their_schema() {
         let mut router = SchemaRouter::new();
-        assert_eq!(
-            router
-                .register("pair", pair_schema(), ServiceLimits::default())
-                .unwrap(),
-            0
-        );
-        assert_eq!(
-            router
-                .register("list", list_schema(), ServiceLimits::default())
-                .unwrap(),
-            1
-        );
+        let limits = ServiceLimits::default();
+        assert_eq!(router.register("pair", pair_schema(), limits).unwrap(), 0);
+        assert_eq!(router.register("list", list_schema(), limits).unwrap(), 1);
         assert_eq!(router.len(), 2);
         assert_eq!(router.ids().collect::<Vec<_>>(), ["pair", "list"]);
-
-        // Interleave two documents of different schemas; the tag routes.
-        let p = router.open("pair").unwrap();
-        let l = router.open("list").unwrap();
-        assert_eq!(p.tag(), 0);
-        assert_eq!(l.tag(), 1);
-        assert_eq!(router.feed_bytes(p, b"<pair><left/>"), FeedStatus::NeedMore);
-        assert_eq!(router.feed_bytes(l, b"<list><item/>"), FeedStatus::NeedMore);
-        assert_eq!(
-            router.feed_bytes(p, b"<right/></pair>"),
-            FeedStatus::Accepted
-        );
-        assert_eq!(router.feed_bytes(l, b"</list>"), FeedStatus::Accepted);
-        assert!(router.finish(p).is_ok());
-        assert!(router.finish(l).is_ok());
-        assert_eq!(router.in_flight(), 0);
+        assert_eq!(router.find("list").unwrap(), 1);
 
         // A pair document is not a list document.
         assert!(router
@@ -323,7 +246,7 @@ mod tests {
             .register("pair", list_schema(), ServiceLimits::default())
             .unwrap_err();
         assert_eq!(dup.code(), Code::DuplicateSchema);
-        let unknown = router.open("nope").unwrap_err();
+        let unknown = router.validate_bytes("nope", b"<pair/>").unwrap_err();
         assert_eq!(unknown.code(), Code::UnknownSchema);
         assert_eq!(
             wire::render_diagnostic(&unknown),
@@ -338,50 +261,45 @@ mod tests {
             .register("doc", pair_schema(), ServiceLimits::default())
             .unwrap();
 
-        // Open under v1 (pair), feed half of a pair document.
-        let old = router.open("doc").unwrap();
-        assert_eq!(
-            router.feed_bytes(old, b"<pair><left/>"),
-            FeedStatus::NeedMore
-        );
+        // Admit under v1 (pair) and feed half of a pair document.
+        let old = router.admit(0).unwrap();
+        let mut service = ValidationService::new(old.schema());
+        let doc = service.try_open().unwrap();
+        let _ = service.feed_bytes(doc, b"<pair><left/>");
 
-        // Hot-swap v2 (list) mid-flight; the tag is stable.
+        // Hot-swap v2 (list) mid-flight; the index is stable.
         assert_eq!(router.publish("doc", list_schema()).unwrap(), 0);
-        assert!(Arc::ptr_eq(
-            router.schema("doc").unwrap(),
-            router.schema("doc").unwrap()
-        ));
 
         // The in-flight document still validates as a pair…
-        assert_eq!(
-            router.feed_bytes(old, b"<right/></pair>"),
-            FeedStatus::Accepted
-        );
-        assert!(router.finish(old).is_ok());
+        let _ = service.feed_bytes(doc, b"<right/></pair>");
+        assert!(service.finish(doc).is_ok());
+        drop(old);
 
-        // …while a post-publish open rejects it under the list schema.
-        let new = router.open("doc").unwrap();
-        let _ = router.feed_bytes(new, b"<pair><left/><right/></pair>");
-        assert_eq!(router.finish(new).unwrap_err().code(), Code::UnknownElement);
+        // …while a post-publish admission rejects it under the list schema.
+        let err = router
+            .validate_bytes("doc", b"<pair><left/><right/></pair>")
+            .unwrap_err();
+        assert_eq!(err.code(), Code::UnknownElement);
 
         let unknown = router.publish("nope", pair_schema()).unwrap_err();
         assert_eq!(unknown.code(), Code::UnknownSchema);
     }
 
     #[test]
-    fn ticks_sweep_every_schema() {
-        let limits = ServiceLimits::default().with_idle_budget(1);
+    fn admission_is_capped_per_route() {
+        let limits = ServiceLimits::default().with_max_in_flight(1);
         let mut router = SchemaRouter::new();
         router.register("pair", pair_schema(), limits).unwrap();
         router.register("list", list_schema(), limits).unwrap();
-        let p = router.open("pair").unwrap();
-        let l = router.open("list").unwrap();
-        assert_eq!(router.feed_bytes(p, b"<pair>"), FeedStatus::NeedMore);
-        assert_eq!(router.feed_bytes(l, b"<list>"), FeedStatus::NeedMore);
-        assert_eq!(router.tick(5), 2);
-        assert_eq!(router.diagnostic(p).unwrap().code(), Code::IdleTimeout);
-        assert_eq!(router.diagnostic(l).unwrap().code(), Code::IdleTimeout);
-        router.close(p);
-        router.close(l);
+        let held = router.admit(0).unwrap();
+        let refusal = router.admit(0).err().unwrap();
+        assert_eq!(
+            wire::render_diagnostic(&refusal),
+            "err E305 - service is at its in-flight handle cap of 1"
+        );
+        // The cap is per route, and a refusal holds nothing.
+        assert!(router.admit(1).is_ok());
+        drop(held);
+        assert!(router.admit(0).is_ok());
     }
 }

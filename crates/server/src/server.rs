@@ -1,5 +1,5 @@
-//! The dependency-free TCP front end: non-blocking `std::net` sockets
-//! behind a small readiness poll loop.
+//! The dependency-free TCP front end: blocking `std::net` sockets, one
+//! thread per connection.
 //!
 //! # Wire protocol
 //!
@@ -16,81 +16,103 @@
 //! ```
 //!
 //! Framed requests pipeline: a client may send many back to back (even
-//! across schemas — each opens its own handle on the right service) and
-//! read the responses in order. An unframed request is the last one on its
-//! connection: the server answers as soon as the document balances (or
-//! rejects), or — for a **half-closed** connection — when the peer shuts
-//! down its write side and the remaining input ends, whichever comes
-//! first. Blank lines between requests are ignored.
+//! across schemas) and read the responses in order. An unframed request is
+//! the last one on its connection: the server answers as soon as the
+//! document balances (or rejects), or — for a **half-closed** connection —
+//! when the peer shuts down its write side and the remaining input ends,
+//! whichever comes first. Blank lines between requests are ignored.
 //!
 //! A `P` request carries DTD source text (always framed — a schema needs a
 //! definite end) and atomically hot-swaps the schema registered under its
 //! id: documents already in flight finish against the artifact they opened
 //! under, requests after the `ok` response validate against the new one
 //! (see [`SchemaRouter::publish`]). The body compiles through the server's
-//! [`redet_schema::registry::Registry`], so re-publishing previously seen
-//! text is a cache hit. Compile failures answer with the build diagnostic
-//! and leave the previous schema serving; unknown ids answer `E103` —
-//! publishing never creates a new wire id.
+//! [`Registry`], so re-publishing previously seen text is a cache hit.
+//! Compile failures answer with the build diagnostic and leave the previous
+//! schema serving; unknown ids answer `E103` — publishing never creates a
+//! new wire id.
 //!
 //! Body bytes stream straight into [`ValidationService::feed_bytes`]
-//! exactly as the poll loop receives them, so chunk boundaries fall
-//! wherever the network put them — the service contract makes the verdict
+//! exactly as the socket delivers them, so chunk boundaries fall wherever
+//! the network put them — the service contract makes the verdict
 //! chunking-invariant, and every verdict (including the `E3xx` refusals:
 //! overload at admission, idle sweeps, per-document limits) is
-//! **byte-identical** to what an in-process `open`/`feed_bytes`/`finish`
-//! sequence reports.
+//! **byte-identical** to what an in-process `try_open`/`feed_bytes`/
+//! `finish` sequence reports.
 //!
-//! # The poll loop
+//! # Threads
 //!
-//! One thread, no `epoll`, no runtime: the listener and every connection
-//! socket are non-blocking; each iteration accepts ready connections,
-//! advances a wall-clock logical tick into [`SchemaRouter::tick`] (the
-//! idle sweeper), pumps every connection (flush pending output, read
-//! available input, run the request state machine), answers connections
-//! whose document was idle-swept, and reaps finished ones. When an
-//! iteration makes no progress the loop sleeps for
-//! [`ServerConfig::idle_wait`] — the dependency-free stand-in for a
-//! readiness syscall, bounding idle CPU at a few wakeups per millisecond
-//! while keeping worst-case added latency at one `idle_wait`.
+//! [`Server::run`] blocks in `accept` and gives every connection its own
+//! [`CONN_STACK`] thread, so a thread wakes exactly when its peer's bytes
+//! arrive, and one connection's slow compile or stalled reader holds up
+//! nobody else. A thread parses header lines in place from one cursor
+//! buffer and writes each response as soon as it is known: a peer that
+//! pipelines without reading blocks only its own thread. It keeps one
+//! [`ValidationService`] per schema id it has used and binds it to the
+//! id's current schema before every open. The shared [`SchemaRouter`] is
+//! read-only after startup: admission is one atomic counter per id
+//! (`E305`), a publish is one `SharedSchema` publish.
+//!
+//! [`ServerConfig::max_connections`] bounds the thread count: past it the
+//! acceptor answers with one `E305` line and closes the connection. When a
+//! schema's [`ServiceLimits::with_idle_budget`] is set, reads under its
+//! documents time out after `idle_budget × tick_interval`; a timeout
+//! mid-document sweeps the document through [`ValidationService::tick`],
+//! answers its `E306` verdict and closes. Between requests the smallest
+//! budget of any schema applies, and a timeout closes silently.
 //!
 //! # Shutdown
 //!
-//! [`ShutdownHandle::shutdown`] (or a `Q` request, when enabled) puts the
-//! loop into **drain**: no new connections are accepted, in-flight
-//! requests continue to completion, and after
-//! [`ServerConfig::drain_deadline`] any straggler's document handle is
-//! closed and the loop exits with its [`ServerReport`].
+//! [`ShutdownHandle::shutdown`] (or a `Q` request, when enabled) sets the
+//! stop flag and wakes the blocking `accept` with one uncounted loopback
+//! connection. The server then **drains**: connections idle between
+//! requests are closed, a request whose header has been read runs to
+//! completion, and at [`ServerConfig::drain_deadline`] the remaining
+//! sockets are shut down. [`Server::run`] joins every thread and returns
+//! the sum of their [`ServerReport`]s.
 
-use crate::router::SchemaRouter;
+use crate::router::{Admission, SchemaRouter};
 use crate::wire;
 use redet_core::{Code, Diagnostic};
 use redet_schema::registry::Registry;
-use redet_schema::{DocId, FeedStatus};
+use redet_schema::{DocId, FeedStatus, ValidationService};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
+use std::ops::AddAssign;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 // Referenced only by intra-doc links in the module docs.
 #[allow(unused_imports)]
-use redet_schema::{ServiceLimits, ValidationService};
+use redet_schema::ServiceLimits;
+
+/// Stack size of a connection thread: 8 MiB, the main thread's. `P`
+/// bodies compile on the connection that sent them, and content models at
+/// the parser's depth caps must compile there. Only touched pages count
+/// toward resident memory.
+pub const CONN_STACK: usize = 8 << 20;
+
+/// Size of a connection's read buffer (grown to fit `max_header_len`).
+const READ_BUF: usize = 16 * 1024;
 
 /// Tuning knobs of a [`Server`]; the default is sensible for both
 /// production-ish serving and tests (tests shrink `tick_interval` to make
-/// idle sweeps fast).
+/// idle timeouts fast).
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// How much wall-clock time one logical tick of the services' idle
-    /// clock represents; [`ServiceLimits::with_idle_budget`] budgets are
+    /// How much wall-clock time one logical tick of the idle clock
+    /// represents; [`ServiceLimits::with_idle_budget`] budgets are
     /// multiples of this. Default: 1 second.
     pub tick_interval: Duration,
-    /// How long the poll loop sleeps when an iteration made no progress.
-    /// Default: 1 ms.
-    pub idle_wait: Duration,
-    /// How long a draining server waits for in-flight connections before
-    /// closing their handles and exiting. Default: 5 seconds.
+    /// Most connections served at once — the bound on connection threads.
+    /// Default: 1024.
+    pub max_connections: usize,
+    /// How long a draining server waits for in-flight requests before
+    /// shutting their sockets down and exiting. Default: 5 seconds.
     pub drain_deadline: Duration,
     /// Whether the `Q` wire request triggers a graceful shutdown. Default:
     /// `true` (disable for servers exposed beyond a trusted network).
@@ -110,7 +132,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             tick_interval: Duration::from_secs(1),
-            idle_wait: Duration::from_millis(1),
+            max_connections: 1024,
             drain_deadline: Duration::from_secs(5),
             allow_shutdown_command: true,
             allow_publish_command: true,
@@ -120,21 +142,37 @@ impl Default for ServerConfig {
     }
 }
 
+/// The [`Code::ServiceOverloaded`] (`E305`) line a server at its
+/// connection cap of `cap` answers a new connection with.
+#[must_use]
+pub fn connection_cap_refusal(cap: usize) -> Diagnostic {
+    Diagnostic::new(
+        Code::ServiceOverloaded,
+        format!("server is at its connection cap of {cap}"),
+    )
+}
+
 /// A cloneable handle that asks a running [`Server`] to drain and exit.
 #[derive(Clone, Debug)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
+pub struct ShutdownHandle {
+    stop: Arc<AtomicBool>,
+    /// Where a loopback connection wakes the blocking `accept`.
+    wake: SocketAddr,
+}
 
 impl ShutdownHandle {
     /// Requests a graceful shutdown: the server stops accepting, drains
     /// in-flight connections, and [`Server::run`] returns.
     pub fn shutdown(&self) {
-        self.0.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the acceptor; if the server already exited, nobody listens.
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
     }
 
     /// Whether shutdown has been requested.
     #[must_use]
     pub fn is_shutdown(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.stop.load(Ordering::SeqCst)
     }
 }
 
@@ -149,7 +187,7 @@ pub struct ServerReport {
     pub accepted: u64,
     /// … of which `err` (schema rejections and `E3xx` refusals alike).
     pub rejected: u64,
-    /// Handles swept by the idle governor.
+    /// Documents swept by the idle timeout.
     pub swept: u64,
     /// Schemas hot-swapped by successful `P` requests.
     pub published: u64,
@@ -157,9 +195,24 @@ pub struct ServerReport {
     pub protocol_errors: u64,
 }
 
+impl AddAssign for ServerReport {
+    fn add_assign(&mut self, other: ServerReport) {
+        self.connections += other.connections;
+        self.documents += other.documents;
+        self.accepted += other.accepted;
+        self.rejected += other.rejected;
+        self.swept += other.swept;
+        self.published += other.published;
+        self.protocol_errors += other.protocol_errors;
+    }
+}
+
 /// The TCP front end over a [`SchemaRouter`]; see the module docs.
+#[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
+    /// The listener's address as a loopback peer reaches it.
+    wake: SocketAddr,
     router: SchemaRouter,
     /// Compiles `P` (publish) bodies; seeding it via
     /// [`Server::set_registry`] with the registry that compiled the
@@ -169,18 +222,71 @@ pub struct Server {
     stop: Arc<AtomicBool>,
 }
 
+/// What every connection thread shares.
+struct Shared {
+    router: SchemaRouter,
+    registry: Mutex<Registry>,
+    config: ServerConfig,
+    stop: Arc<AtomicBool>,
+    wake: SocketAddr,
+    /// Read timeout between requests: the smallest idle budget of any
+    /// route, in wall-clock time.
+    header_timeout: Option<Duration>,
+}
+
+/// A connection thread's position, as the acceptor sees it.
+const IDLE: u8 = 0;
+const BUSY: u8 = 1;
+const CLOSED: u8 = 2;
+const DONE: u8 = 3;
+
+/// The acceptor's record of one connection thread.
+struct Live {
+    stream: Arc<TcpStream>,
+    /// [`IDLE`] between requests, [`BUSY`] once a header has been read,
+    /// [`CLOSED`] once the draining acceptor has shut the socket down,
+    /// [`DONE`] once the thread no longer holds a connection slot.
+    state: Arc<AtomicU8>,
+    thread: JoinHandle<ServerReport>,
+}
+
+impl Live {
+    /// Shuts the socket down; with `only_idle`, only if the thread is
+    /// between requests.
+    fn close(&self, only_idle: bool) {
+        let closed = if only_idle {
+            self.state
+                .compare_exchange(IDLE, CLOSED, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        } else {
+            self.state.store(CLOSED, Ordering::SeqCst);
+            true
+        };
+        if closed {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and wraps
     /// `router` behind it. The socket listens immediately; requests are
-    /// only served once [`Server::run`] starts polling.
+    /// only served once [`Server::run`] starts accepting.
     pub fn bind(
         addr: impl ToSocketAddrs,
         router: SchemaRouter,
         config: ServerConfig,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let mut wake = listener.local_addr()?;
+        match wake.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
         Ok(Server {
             listener,
+            wake,
             router,
             registry: Registry::new(),
             config,
@@ -195,11 +301,6 @@ impl Server {
         self.registry = registry;
     }
 
-    /// The compile registry `P` (publish) requests go through.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// The bound address — the way to learn the actual port after binding
     /// port 0.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
@@ -209,577 +310,585 @@ impl Server {
     /// A handle that shuts this server down from another thread.
     #[must_use]
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(Arc::clone(&self.stop))
+        ShutdownHandle {
+            stop: Arc::clone(&self.stop),
+            wake: self.wake,
+        }
     }
 
-    /// The schema registry this server routes to.
+    /// The schema routes this server serves.
     pub fn router(&self) -> &SchemaRouter {
         &self.router
     }
 
-    /// Runs the poll loop until shutdown, then drains and returns the
-    /// lifetime report; see the module docs for the loop's phases.
-    pub fn run(mut self) -> io::Result<ServerReport> {
-        self.listener.set_nonblocking(true)?;
-        let started = Instant::now();
-        let tick_ms = u64::try_from(self.config.tick_interval.as_millis())
-            .unwrap_or(1000)
-            .max(1);
-        let mut last_tick = 0u64;
-        let mut conns: Vec<Conn> = Vec::new();
+    /// Accepts connections until shutdown, then drains and returns the
+    /// lifetime report; see the module docs.
+    pub fn run(self) -> io::Result<ServerReport> {
+        let Server {
+            listener,
+            wake,
+            router,
+            registry,
+            config,
+            stop,
+        } = self;
+        let header_timeout = router
+            .limits()
+            .filter_map(|limits| limits.idle_budget())
+            .min()
+            .map(|budget| idle_timeout(&config, budget));
+        let shared = Arc::new(Shared {
+            router,
+            registry: Mutex::new(registry),
+            config,
+            stop,
+            wake,
+            header_timeout,
+        });
+        let mut live: Vec<Live> = Vec::new();
         let mut report = ServerReport::default();
-        let mut drain_started: Option<Instant> = None;
-        let mut scratch = vec![0u8; 16 * 1024];
 
         loop {
-            let mut progress = false;
-            let draining = self.stop.load(Ordering::Relaxed);
-            if draining && drain_started.is_none() {
-                drain_started = Some(Instant::now());
+            let accepted = listener.accept();
+            if shared.stop.load(Ordering::SeqCst) {
+                break;
             }
-
-            // Phase 1: accept every connection that is ready right now.
-            if !draining {
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            if stream.set_nonblocking(true).is_ok() {
-                                let _ = stream.set_nodelay(true);
-                                conns.push(Conn::new(stream));
-                                report.connections += 1;
-                                progress = true;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => break,
-                    }
-                }
-            }
-
-            // Phase 2: advance the wall-clock timer source into the
-            // services' logical idle clock.
-            let now_tick =
-                u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX) / tick_ms;
-            if now_tick > last_tick {
-                last_tick = now_tick;
-                let swept = self.router.tick(now_tick);
-                if swept > 0 {
-                    report.swept += swept as u64;
-                    progress = true;
-                }
-            }
-
-            // Phase 3: pump I/O and the request state machine per
-            // connection, then surface idle sweeps on the wire.
-            for conn in &mut conns {
-                progress |= conn.pump(
-                    &mut self.router,
-                    &mut self.registry,
-                    &self.config,
-                    &self.stop,
-                    &mut report,
-                    &mut scratch,
-                );
-                progress |= conn.respond_if_swept(&mut self.router, &mut report);
-            }
-
-            // Phase 4: reap connections that finished or died, releasing
-            // any document handle they still hold.
-            let mut i = 0;
-            while i < conns.len() {
-                if conns[i].finished() {
-                    conns.swap_remove(i).abort(&mut self.router);
-                    progress = true;
-                } else {
-                    i += 1;
-                }
-            }
-
-            if draining {
-                let expired =
-                    drain_started.is_some_and(|t| t.elapsed() >= self.config.drain_deadline);
-                if conns.is_empty() || expired {
-                    for conn in conns.drain(..) {
-                        conn.abort(&mut self.router);
-                    }
-                    return Ok(report);
-                }
-            }
-
-            if !progress {
-                std::thread::sleep(self.config.idle_wait);
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for Server {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Server")
-            .field("addr", &self.listener.local_addr().ok())
-            .field("router", &self.router)
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-/// Where a connection is in its request sequence.
-enum ConnState {
-    /// Accumulating a header line.
-    Header,
-    /// Streaming body bytes into an open document. `remaining` is the
-    /// framed byte count still expected (`None` for unframed requests).
-    Body { doc: DocId, remaining: Option<u64> },
-    /// Consuming and dropping the framed body of a refused request, so the
-    /// refusal does not desynchronize the requests pipelined behind it.
-    Discard { remaining: u64 },
-    /// Accumulating the framed DTD body of a `P` (publish) request.
-    /// `remaining` counts the bytes still expected into `body`.
-    Publish {
-        /// The schema id being hot-swapped.
-        id: String,
-        /// Framed bytes still expected.
-        remaining: u64,
-        /// The DTD source text received so far.
-        body: Vec<u8>,
-    },
-}
-
-/// One client connection of the poll loop.
-struct Conn {
-    stream: TcpStream,
-    /// Received, not-yet-processed bytes.
-    inbuf: Vec<u8>,
-    /// Rendered, not-yet-written response bytes.
-    outbuf: Vec<u8>,
-    state: ConnState,
-    /// The peer half-closed (or closed) its write side.
-    eof: bool,
-    /// No further requests will be served; close once `outbuf` flushes.
-    done: bool,
-    /// The socket errored; drop immediately.
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            state: ConnState::Header,
-            eof: false,
-            done: false,
-            dead: false,
-        }
-    }
-
-    /// Whether the connection can be reaped.
-    fn finished(&self) -> bool {
-        self.dead || (self.done && self.outbuf.is_empty())
-    }
-
-    /// Releases the document handle a reaped connection still holds.
-    fn abort(self, router: &mut SchemaRouter) {
-        if let ConnState::Body { doc, .. } = self.state {
-            router.close(doc);
-        }
-    }
-
-    /// One poll-loop visit: flush, read, process, flush.
-    fn pump(
-        &mut self,
-        router: &mut SchemaRouter,
-        registry: &mut Registry,
-        config: &ServerConfig,
-        stop: &AtomicBool,
-        report: &mut ServerReport,
-        scratch: &mut [u8],
-    ) -> bool {
-        let mut progress = self.flush();
-        if self.dead || self.done {
-            return progress;
-        }
-        if !self.eof {
-            // Bounded reads per visit so one firehose connection cannot
-            // starve the rest of the loop.
-            for _ in 0..4 {
-                match self.stream.read(scratch) {
-                    Ok(0) => {
-                        self.eof = true;
-                        progress = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.inbuf.extend_from_slice(&scratch[..n]);
-                        progress = true;
-                        if n < scratch.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        self.dead = true;
-                        return progress;
-                    }
-                }
-            }
-        }
-        progress |= self.process(router, registry, config, stop, report);
-        progress |= self.flush();
-        progress
-    }
-
-    /// Writes as much pending output as the socket accepts.
-    fn flush(&mut self) -> bool {
-        let mut progress = false;
-        while !self.outbuf.is_empty() {
-            match self.stream.write(&self.outbuf) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.outbuf.drain(..n);
-                    progress = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            let stream = match accepted {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.dead = true;
-                    break;
+                    // Out of descriptors or similar: back off briefly.
+                    thread::sleep(Duration::from_millis(1));
+                    continue;
                 }
+            };
+            // Collect the reports of threads that have finished.
+            let (done, running): (Vec<Live>, Vec<Live>) =
+                live.drain(..).partition(|c| c.thread.is_finished());
+            live = running;
+            join_all(done, &mut report);
+
+            let cap = shared.config.max_connections;
+            let held = live
+                .iter()
+                .filter(|c| c.state.load(Ordering::SeqCst) != DONE);
+            if held.count() >= cap {
+                let line = wire::render_diagnostic(&connection_cap_refusal(cap));
+                let _ = (&stream).write_all(format!("{line}\n").as_bytes());
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let stream = Arc::new(stream);
+            let state = Arc::new(AtomicU8::new(IDLE));
+            let spawned = {
+                let (stream, state, shared) =
+                    (Arc::clone(&stream), Arc::clone(&state), Arc::clone(&shared));
+                thread::Builder::new()
+                    .name("redet-conn".to_owned())
+                    .stack_size(CONN_STACK)
+                    .spawn(move || serve_connection(&stream, &state, &shared))
+            };
+            if let Ok(thread) = spawned {
+                report.connections += 1;
+                live.push(Live {
+                    stream,
+                    state,
+                    thread,
+                });
             }
         }
-        progress
-    }
 
-    /// Runs the request state machine over whatever `inbuf` holds.
-    fn process(
-        &mut self,
-        router: &mut SchemaRouter,
-        registry: &mut Registry,
-        config: &ServerConfig,
-        stop: &AtomicBool,
-        report: &mut ServerReport,
-    ) -> bool {
-        let mut progress = false;
+        // Drain: close idle connections now, let busy ones finish their
+        // request, and shut down whatever is left at the deadline.
+        for conn in &live {
+            conn.close(true);
+        }
+        let deadline = Instant::now() + shared.config.drain_deadline;
+        while Instant::now() < deadline && live.iter().any(|c| !c.thread.is_finished()) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        for conn in &live {
+            conn.close(false);
+        }
+        join_all(live, &mut report);
+        Ok(report)
+    }
+}
+
+/// Joins connection threads, adding up their reports.
+fn join_all(conns: Vec<Live>, report: &mut ServerReport) {
+    for conn in conns {
+        if let Ok(part) = conn.thread.join() {
+            *report += part;
+        }
+    }
+}
+
+/// The read timeout for an idle budget of `budget` ticks.
+fn idle_timeout(config: &ServerConfig, budget: u64) -> Duration {
+    let tick = config.tick_interval.max(Duration::from_millis(1));
+    tick.saturating_mul(u32::try_from(budget.max(1)).unwrap_or(u32::MAX))
+}
+
+/// A connection thread's body: serve requests until the connection ends,
+/// then release the connection slot before the peer sees the close.
+fn serve_connection(stream: &TcpStream, state: &AtomicU8, shared: &Shared) -> ServerReport {
+    let mut conn = Conn {
+        stream,
+        state,
+        shared,
+        buf: vec![0; READ_BUF.max(shared.config.max_header_len + 2)],
+        start: 0,
+        end: 0,
+        timeout: None,
+        clock: 0,
+        services: (0..shared.router.len()).map(|_| None).collect(),
+        out: Vec::new(),
+        report: ServerReport::default(),
+    };
+    conn.set_timeout(shared.header_timeout);
+    conn.serve();
+    state.store(DONE, Ordering::SeqCst);
+    let _ = stream.shutdown(Shutdown::Both);
+    conn.report
+}
+
+/// What one read delivered.
+enum Fill {
+    /// New bytes are buffered.
+    Data,
+    /// The peer closed its write side (or the socket was shut down).
+    Eof,
+    /// The read timed out.
+    Idle,
+    /// The socket failed.
+    Failed,
+}
+
+/// Whether the connection goes on after a request.
+enum Flow {
+    Next,
+    Close,
+}
+
+/// A parsed header line.
+enum Request {
+    /// `V`: the route (or the `E103` refusal) and the framed length.
+    Validate {
+        route: Result<usize, Diagnostic>,
+        len: Option<u64>,
+    },
+    /// `P`: the schema id (or the `E103` refusal) and the body length.
+    Publish {
+        id: Result<String, Diagnostic>,
+        len: u64,
+    },
+    /// `Q`.
+    Shutdown,
+    /// A malformed header: the [`Code::ProtocolError`] message.
+    Refuse(&'static str),
+}
+
+/// One connection's state, owned by its thread.
+struct Conn<'a> {
+    stream: &'a TcpStream,
+    state: &'a AtomicU8,
+    shared: &'a Shared,
+    /// Received bytes; `buf[start..end]` is not yet consumed.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// The socket's current read timeout.
+    timeout: Option<Duration>,
+    /// This connection's logical idle clock, advanced by each timeout.
+    clock: u64,
+    /// One service per route this connection has used.
+    services: Vec<Option<ValidationService>>,
+    /// Response rendering buffer.
+    out: Vec<u8>,
+    report: ServerReport,
+}
+
+impl Conn<'_> {
+    /// The request loop.
+    fn serve(&mut self) {
         loop {
-            if self.done || self.dead {
-                return progress;
+            // Draining: close between requests.
+            if self.shared.stop.load(Ordering::SeqCst) {
+                return;
             }
-            match self.state {
-                ConnState::Header => {
-                    // Tolerate blank separator lines (`\n`, `\r\n`).
-                    let blank = self
-                        .inbuf
-                        .iter()
-                        .take_while(|&&b| b == b'\n' || b == b'\r')
-                        .count();
-                    if blank > 0 {
-                        self.inbuf.drain(..blank);
-                        progress = true;
-                    }
-                    let Some(pos) = self.inbuf.iter().position(|&b| b == b'\n') else {
-                        if self.inbuf.len() > config.max_header_len {
-                            self.refuse(report, "header line exceeds the length cap");
-                            progress = true;
-                        } else if self.eof {
-                            if self.inbuf.is_empty() {
-                                self.done = true;
-                            } else {
-                                self.refuse(report, "input ended inside a header line");
-                            }
-                            progress = true;
-                        }
-                        return progress;
-                    };
-                    let line: Vec<u8> = self.inbuf.drain(..=pos).collect();
-                    progress = true;
-                    let line = &line[..line.len() - 1];
-                    let line = line.strip_suffix(b"\r").unwrap_or(line);
-                    let Ok(text) = std::str::from_utf8(line) else {
-                        self.refuse(report, "header line is not UTF-8");
-                        continue;
-                    };
-                    self.handle_header(text, router, config, stop, report);
-                }
-                ConnState::Body { doc, remaining } => {
-                    if remaining == Some(0) {
-                        self.respond_verdict(&router.finish(doc), report);
-                        self.state = ConnState::Header;
-                        progress = true;
-                        continue;
-                    }
-                    if self.inbuf.is_empty() {
-                        if self.eof {
-                            // Half-closed (unframed) or truncated (framed)
-                            // input: the verdict is whatever finishing the
-                            // partial document reports.
-                            self.respond_verdict(&router.finish(doc), report);
-                            self.state = ConnState::Header;
-                            self.done = true;
-                            progress = true;
-                        }
-                        return progress;
-                    }
-                    let take = remaining
-                        .map_or(self.inbuf.len(), |r| {
-                            usize::try_from(r).unwrap_or(usize::MAX)
-                        })
-                        .min(self.inbuf.len());
-                    let status = router.feed_bytes(doc, &self.inbuf[..take]);
-                    self.inbuf.drain(..take);
-                    progress = true;
-                    match remaining {
-                        Some(r) => {
-                            let left = r - take as u64;
-                            self.state = ConnState::Body {
-                                doc,
-                                remaining: Some(left),
-                            };
-                            // left == 0 responds at the top of the loop.
-                        }
-                        None => {
-                            if matches!(status, FeedStatus::Accepted | FeedStatus::Rejected) {
-                                // Unframed requests answer as soon as the
-                                // verdict is known and end the connection.
-                                self.respond_verdict(&router.finish(doc), report);
-                                self.state = ConnState::Header;
-                                self.done = true;
-                            }
-                        }
-                    }
-                }
-                ConnState::Discard { remaining } => {
-                    if self.inbuf.is_empty() {
-                        if self.eof {
-                            self.done = true;
-                            progress = true;
-                        }
-                        return progress;
-                    }
-                    let take = usize::try_from(remaining)
-                        .unwrap_or(usize::MAX)
-                        .min(self.inbuf.len());
-                    self.inbuf.drain(..take);
-                    progress = true;
-                    let left = remaining - take as u64;
-                    self.state = if left == 0 {
-                        ConnState::Header
-                    } else {
-                        ConnState::Discard { remaining: left }
-                    };
-                }
-                ConnState::Publish { remaining, .. } if remaining > 0 => {
-                    if self.inbuf.is_empty() {
-                        if self.eof {
-                            self.refuse(report, "input ended inside a publish body");
-                            progress = true;
-                        }
-                        return progress;
-                    }
-                    let take = usize::try_from(remaining)
-                        .unwrap_or(usize::MAX)
-                        .min(self.inbuf.len());
-                    let ConnState::Publish {
-                        remaining, body, ..
-                    } = &mut self.state
-                    else {
-                        unreachable!("matched Publish above");
-                    };
-                    body.extend_from_slice(&self.inbuf[..take]);
-                    *remaining -= take as u64;
-                    self.inbuf.drain(..take);
-                    progress = true;
-                }
-                ConnState::Publish { .. } => {
-                    // Body complete: compile (cache-aware) and hot-swap.
-                    let state = std::mem::replace(&mut self.state, ConnState::Header);
-                    let ConnState::Publish { id, body, .. } = state else {
-                        unreachable!("matched Publish above");
-                    };
-                    let outcome = match std::str::from_utf8(&body) {
-                        Ok(source) => registry
-                            .compile(source)
-                            .and_then(|schema| router.publish(&id, schema).map(|_| ())),
-                        Err(_) => Err(Diagnostic::new(
-                            Code::ProtocolError,
-                            "publish body is not UTF-8",
-                        )),
-                    };
-                    match outcome {
-                        Ok(()) => {
-                            report.published += 1;
-                            self.respond("ok", report);
-                        }
-                        Err(refusal) => {
-                            self.respond(&wire::render_diagnostic(&refusal), report);
-                        }
-                    }
-                    progress = true;
-                }
+            let Some((from, to)) = self.next_header() else {
+                return;
+            };
+            if self
+                .state
+                .compare_exchange(IDLE, BUSY, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+            {
+                return;
+            }
+            let request = match std::str::from_utf8(&self.buf[from..to]) {
+                Ok(text) => parse_header(text, &self.shared.router, &self.shared.config),
+                Err(_) => Request::Refuse("header line is not UTF-8"),
+            };
+            let flow = match request {
+                Request::Validate { route, len } => self.validate(route, len),
+                Request::Publish { id, len } => self.publish(id, len),
+                Request::Shutdown => self.shutdown(),
+                Request::Refuse(message) => self.refuse(message),
+            };
+            if matches!(flow, Flow::Close)
+                || self
+                    .state
+                    .compare_exchange(BUSY, IDLE, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_err()
+            {
+                return;
             }
         }
     }
 
-    /// Parses and acts on one header line.
-    fn handle_header(
-        &mut self,
-        text: &str,
-        router: &mut SchemaRouter,
-        config: &ServerConfig,
-        stop: &AtomicBool,
-        report: &mut ServerReport,
-    ) {
-        let mut parts = text.split_ascii_whitespace();
-        match parts.next() {
-            Some("V") => {
-                let Some(schema) = parts.next() else {
-                    self.refuse(report, "V needs a schema id");
-                    return;
-                };
-                let remaining = match parts.next() {
-                    Some(len) => match len.parse::<u64>() {
-                        Ok(n) => Some(n),
-                        Err(_) => {
-                            self.refuse(report, "unparsable body length");
-                            return;
-                        }
-                    },
-                    None => None,
-                };
-                if parts.next().is_some() {
-                    self.refuse(report, "trailing tokens after the header");
-                    return;
-                }
-                match router.open(schema) {
-                    Ok(doc) => self.state = ConnState::Body { doc, remaining },
-                    Err(refusal) => {
-                        // E103 / E305: the refusal is the verdict. A framed
-                        // body is still consumed so pipelined requests
-                        // behind it stay in sync; an unframed body cannot
-                        // be delimited, so the connection ends.
-                        self.respond(&wire::render_diagnostic(&refusal), report);
-                        report.documents += 1;
-                        report.rejected += 1;
-                        match remaining {
-                            Some(n) if n > 0 => self.state = ConnState::Discard { remaining: n },
-                            Some(_) => {}
-                            None => self.done = true,
-                        }
-                    }
-                }
+    /// Waits for the next header line and returns its range in `buf`
+    /// (without the line end), or `None` when the connection should close
+    /// — after a refusal for an over-long or cut-off header, silently at
+    /// end of input or after an idle timeout.
+    fn next_header(&mut self) -> Option<(usize, usize)> {
+        loop {
+            // Tolerate blank separator lines (`\n`, `\r\n`).
+            while self.start < self.end && matches!(self.buf[self.start], b'\n' | b'\r') {
+                self.start += 1;
             }
-            Some("P") => {
-                if !config.allow_publish_command {
-                    self.refuse(report, "the publish command is disabled");
-                    return;
+            let pending = &self.buf[self.start..self.end];
+            if let Some(pos) = pending.iter().position(|&b| b == b'\n') {
+                let from = self.start;
+                let mut to = from + pos;
+                self.start = to + 1;
+                if to > from && self.buf[to - 1] == b'\r' {
+                    to -= 1;
                 }
-                let Some(id) = parts.next() else {
-                    self.refuse(report, "P needs a schema id");
-                    return;
-                };
-                let Some(len) = parts.next() else {
-                    self.refuse(report, "P needs a framed body length");
-                    return;
-                };
-                let Ok(remaining) = len.parse::<u64>() else {
-                    self.refuse(report, "unparsable body length");
-                    return;
-                };
-                if parts.next().is_some() {
-                    self.refuse(report, "trailing tokens after the header");
-                    return;
-                }
-                if remaining > config.max_publish_len as u64 {
-                    self.refuse(report, "publish body exceeds the length cap");
-                    return;
-                }
-                if router.schema(id).is_none() {
-                    // E103: the refusal is the verdict — a publish never
-                    // creates a new wire id. The framed body is still
-                    // consumed so pipelined requests stay in sync.
-                    let refusal = Diagnostic::new(
-                        Code::UnknownSchema,
-                        format!("no schema registered under id '{id}'"),
-                    );
-                    self.respond(&wire::render_diagnostic(&refusal), report);
-                    if remaining > 0 {
-                        self.state = ConnState::Discard { remaining };
-                    }
-                    return;
-                }
-                self.state = ConnState::Publish {
-                    id: id.to_owned(),
-                    remaining,
-                    body: Vec::with_capacity(
-                        usize::try_from(remaining)
-                            .unwrap_or(0)
-                            .min(config.max_publish_len),
-                    ),
-                };
+                return Some((from, to));
             }
-            Some("Q") => {
-                if config.allow_shutdown_command {
-                    self.respond("ok", report);
-                    stop.store(true, Ordering::Relaxed);
-                } else {
-                    self.refuse(report, "the shutdown command is disabled");
-                }
-                self.done = true;
+            if pending.len() > self.shared.config.max_header_len {
+                self.refuse("header line exceeds the length cap");
+                return None;
             }
-            _ => self.refuse(report, "unrecognized header"),
+            match self.fill() {
+                Fill::Data => {}
+                Fill::Eof if self.start < self.end && !self.closing() => {
+                    self.refuse("input ended inside a header line");
+                    return None;
+                }
+                Fill::Eof | Fill::Idle | Fill::Failed => return None,
+            }
         }
     }
 
-    /// Answers a connection whose in-flight document the idle governor
-    /// swept: the peer went quiet, so the E306 verdict is pushed without
-    /// waiting for more input, and the connection ends.
-    fn respond_if_swept(&mut self, router: &mut SchemaRouter, report: &mut ServerReport) -> bool {
-        if self.done || self.dead {
-            return false;
+    /// Reads more input after `buf[..end]`, first reclaiming consumed
+    /// space.
+    fn fill(&mut self) -> Fill {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.end == self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
         }
-        let ConnState::Body { doc, .. } = self.state else {
-            return false;
+        loop {
+            match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Fill::Eof,
+                Ok(n) => {
+                    self.end += n;
+                    return Fill::Data;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Fill::Idle
+                }
+                Err(_) => return Fill::Failed,
+            }
+        }
+    }
+
+    /// Consumes up to `max` buffered bytes (reading if none are buffered)
+    /// and returns their range, or how the input ended.
+    fn take(&mut self, max: u64) -> Result<(usize, usize), Fill> {
+        if self.start == self.end {
+            match self.fill() {
+                Fill::Data => {}
+                other => return Err(other),
+            }
+        }
+        let n = usize::try_from(max)
+            .unwrap_or(usize::MAX)
+            .min(self.end - self.start);
+        let from = self.start;
+        self.start += n;
+        Ok((from, from + n))
+    }
+
+    /// Whether the draining acceptor has shut this connection down.
+    fn closing(&self) -> bool {
+        self.state.load(Ordering::SeqCst) == CLOSED
+    }
+
+    /// Sets the socket's read timeout, skipping the syscall when unchanged.
+    fn set_timeout(&mut self, timeout: Option<Duration>) {
+        if self.timeout != timeout && self.stream.set_read_timeout(timeout).is_ok() {
+            self.timeout = timeout;
+        }
+    }
+
+    /// A `V` request: admission, then the body streamed into a document
+    /// of this connection's service for the route.
+    fn validate(&mut self, route: Result<usize, Diagnostic>, len: Option<u64>) -> Flow {
+        let shared = self.shared;
+        let admitted = route.and_then(|index| shared.router.admit(index));
+        let admission = match admitted {
+            Ok(admission) => admission,
+            Err(refusal) => {
+                // E103 / E305: the refusal is the verdict. A framed body
+                // is still consumed so pipelined requests behind it stay
+                // in sync; an unframed body cannot be delimited, so the
+                // connection ends.
+                self.respond_verdict(&Err(refusal));
+                return match len {
+                    Some(n) => self.discard(n),
+                    None => Flow::Close,
+                };
+            }
         };
-        if !router.is_swept(doc) {
-            return false;
-        }
-        self.respond_verdict(&router.finish(doc), report);
-        self.state = ConnState::Header;
-        self.done = true;
-        let _ = self.flush();
-        true
-    }
-
-    /// Queues one response line.
-    fn respond(&mut self, line: &str, _report: &mut ServerReport) {
-        self.outbuf.extend_from_slice(line.as_bytes());
-        self.outbuf.push(b'\n');
-    }
-
-    /// Queues a document verdict and counts it.
-    fn respond_verdict(&mut self, verdict: &Result<(), Diagnostic>, report: &mut ServerReport) {
-        report.documents += 1;
+        let budget = admission.limits().idle_budget();
+        self.set_timeout(budget.map(|b| idle_timeout(&shared.config, b)));
+        let (verdict, flow) = self.feed_document(&admission, budget, len);
+        drop(admission);
+        self.set_timeout(shared.header_timeout);
         match verdict {
-            Ok(()) => report.accepted += 1,
-            Err(_) => report.rejected += 1,
+            Some(verdict) => {
+                self.respond_verdict(&verdict);
+                flow
+            }
+            None => Flow::Close,
         }
-        let line = wire::render_verdict(verdict);
-        self.respond(&line, report);
+    }
+
+    /// Streams one document's body through this connection's service for
+    /// the route and returns its verdict (`None` when the connection died
+    /// or was shut down mid-document) and whether the connection goes on.
+    fn feed_document(
+        &mut self,
+        admission: &Admission<'_>,
+        budget: Option<u64>,
+        len: Option<u64>,
+    ) -> (Option<Result<(), Diagnostic>>, Flow) {
+        let index = admission.index();
+        let mut service = self.services[index].take().unwrap_or_else(|| {
+            ValidationService::with_limits(admission.schema(), admission.limits())
+        });
+        service.swap_schema(admission.schema());
+        let outcome = match service.try_open() {
+            Ok(doc) => self.stream_body(&mut service, doc, budget, len),
+            Err(refusal) => (Some(Err(refusal)), Flow::Close),
+        };
+        self.services[index] = Some(service);
+        outcome
+    }
+
+    /// The body loop of [`Conn::feed_document`] for the open `doc`.
+    fn stream_body(
+        &mut self,
+        service: &mut ValidationService,
+        doc: DocId,
+        budget: Option<u64>,
+        mut remaining: Option<u64>,
+    ) -> (Option<Result<(), Diagnostic>>, Flow) {
+        loop {
+            if remaining == Some(0) {
+                return (Some(service.finish(doc)), Flow::Next);
+            }
+            let (from, to) = match self.take(remaining.unwrap_or(u64::MAX)) {
+                Ok(range) => range,
+                Err(Fill::Idle) => {
+                    // The peer went quiet past the idle budget: sweep the
+                    // document so the E306 verdict is the service's own.
+                    self.clock += budget.unwrap_or(0).saturating_add(1);
+                    self.report.swept += service.tick(self.clock) as u64;
+                    return (Some(service.finish(doc)), Flow::Close);
+                }
+                Err(Fill::Eof) if !self.closing() => {
+                    // Half-closed (unframed) or truncated (framed) input:
+                    // the verdict is whatever finishing the partial
+                    // document reports.
+                    return (Some(service.finish(doc)), Flow::Close);
+                }
+                Err(_) => {
+                    service.close(doc);
+                    return (None, Flow::Close);
+                }
+            };
+            let status = service.feed_bytes(doc, &self.buf[from..to]);
+            match &mut remaining {
+                Some(left) => *left -= (to - from) as u64,
+                // Unframed requests answer as soon as the verdict is known
+                // and end the connection.
+                None if matches!(status, FeedStatus::Accepted | FeedStatus::Rejected) => {
+                    return (Some(service.finish(doc)), Flow::Close);
+                }
+                None => {}
+            }
+        }
+    }
+
+    /// Consumes and drops the framed body of a refused request, so the
+    /// refusal does not desynchronize the requests pipelined behind it.
+    fn discard(&mut self, mut remaining: u64) -> Flow {
+        while remaining > 0 {
+            match self.take(remaining) {
+                Ok((from, to)) => remaining -= (to - from) as u64,
+                Err(_) => return Flow::Close,
+            }
+        }
+        Flow::Next
+    }
+
+    /// A `P` request: read the DTD, compile it (cache-aware) and hot-swap.
+    fn publish(&mut self, id: Result<String, Diagnostic>, len: u64) -> Flow {
+        let id = match id {
+            Ok(id) => id,
+            Err(refusal) => {
+                // E103: the refusal is the answer — a publish never creates
+                // a new wire id. The framed body is still consumed.
+                self.respond(&wire::render_diagnostic(&refusal));
+                return self.discard(len);
+            }
+        };
+        let mut body = Vec::with_capacity(usize::try_from(len).unwrap_or(0));
+        let mut remaining = len;
+        while remaining > 0 {
+            match self.take(remaining) {
+                Ok((from, to)) => {
+                    body.extend_from_slice(&self.buf[from..to]);
+                    remaining -= (to - from) as u64;
+                }
+                Err(Fill::Eof) if !self.closing() => {
+                    return self.refuse("input ended inside a publish body");
+                }
+                Err(_) => return Flow::Close,
+            }
+        }
+        let outcome = match std::str::from_utf8(&body) {
+            Ok(source) => Registry::compile_shared(&self.shared.registry, source)
+                .and_then(|(schema, _)| self.shared.router.publish(&id, schema)),
+            Err(_) => Err(Diagnostic::new(
+                Code::ProtocolError,
+                "publish body is not UTF-8",
+            )),
+        };
+        match outcome {
+            Ok(_) => {
+                self.report.published += 1;
+                self.respond("ok");
+            }
+            Err(refusal) => self.respond(&wire::render_diagnostic(&refusal)),
+        }
+        Flow::Next
+    }
+
+    /// A `Q` request.
+    fn shutdown(&mut self) -> Flow {
+        if !self.shared.config.allow_shutdown_command {
+            return self.refuse("the shutdown command is disabled");
+        }
+        self.respond("ok");
+        ShutdownHandle {
+            stop: Arc::clone(&self.shared.stop),
+            wake: self.shared.wake,
+        }
+        .shutdown();
+        Flow::Close
+    }
+
+    /// Writes one response line.
+    fn respond(&mut self, line: &str) {
+        self.out.clear();
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.push(b'\n');
+        // A failed write surfaces as a failed read on the next request.
+        let _ = self.stream.write_all(&self.out);
+    }
+
+    /// Writes a document verdict and counts it.
+    fn respond_verdict(&mut self, verdict: &Result<(), Diagnostic>) {
+        self.report.documents += 1;
+        match verdict {
+            Ok(()) => self.report.accepted += 1,
+            Err(_) => self.report.rejected += 1,
+        }
+        self.respond(&wire::render_verdict(verdict));
     }
 
     /// Refuses a malformed request with a [`Code::ProtocolError`] line and
     /// ends the connection (the framing is lost, so nothing behind the bad
     /// header can be trusted).
-    fn refuse(&mut self, report: &mut ServerReport, message: &str) {
-        report.protocol_errors += 1;
+    fn refuse(&mut self, message: &str) -> Flow {
+        self.report.protocol_errors += 1;
         let line = wire::render_diagnostic(&Diagnostic::new(Code::ProtocolError, message));
-        self.respond(&line, report);
-        self.inbuf.clear();
-        self.done = true;
+        self.respond(&line);
+        Flow::Close
+    }
+}
+
+/// Parses one header line against the routes and the config.
+fn parse_header(text: &str, router: &SchemaRouter, config: &ServerConfig) -> Request {
+    let mut parts = text.split_ascii_whitespace();
+    match parts.next() {
+        Some("V") => {
+            let Some(id) = parts.next() else {
+                return Request::Refuse("V needs a schema id");
+            };
+            let len = match parts.next().map(str::parse::<u64>) {
+                Some(Ok(n)) => Some(n),
+                Some(Err(_)) => return Request::Refuse("unparsable body length"),
+                None => None,
+            };
+            if parts.next().is_some() {
+                return Request::Refuse("trailing tokens after the header");
+            }
+            Request::Validate {
+                route: router.find(id),
+                len,
+            }
+        }
+        Some("P") => {
+            if !config.allow_publish_command {
+                return Request::Refuse("the publish command is disabled");
+            }
+            let Some(id) = parts.next() else {
+                return Request::Refuse("P needs a schema id");
+            };
+            let Some(len) = parts.next() else {
+                return Request::Refuse("P needs a framed body length");
+            };
+            let Ok(len) = len.parse::<u64>() else {
+                return Request::Refuse("unparsable body length");
+            };
+            if parts.next().is_some() {
+                return Request::Refuse("trailing tokens after the header");
+            }
+            if len > config.max_publish_len as u64 {
+                return Request::Refuse("publish body exceeds the length cap");
+            }
+            Request::Publish {
+                id: router.find(id).map(|_| id.to_owned()),
+                len,
+            }
+        }
+        Some("Q") => Request::Shutdown,
+        _ => Request::Refuse("unrecognized header"),
     }
 }

@@ -394,6 +394,35 @@ fn over_deep_publish_bodies_are_refused_and_serving_continues() {
         );
     }
     drop(reader);
+    // Counted models that parse within those caps but would unroll past
+    // the caps on the unrolled tree: too deep, a nested optional tail, a
+    // union whose copies follow each other pairwise.
+    let names: Vec<String> = (0..16_000).map(|i| format!("n{i}")).collect();
+    let groups: Vec<String> = names
+        .chunks(1000)
+        .map(|group| format!("({})", group.join(" | ")))
+        .collect();
+    let counted = [
+        "(a{100000})".to_owned(),
+        "((a, b?){1,20000})".to_owned(),
+        format!("(({}){{1,2}})", groups.join(" | ")),
+    ];
+    let mut stream = fixture.connect();
+    for model in &counted {
+        let dtd = format!("<!ELEMENT doc {model}>");
+        let mut request = format!("P bib {}\n", dtd.len()).into_bytes();
+        request.extend_from_slice(dtd.as_bytes());
+        stream.write_all(&request).unwrap();
+    }
+    let mut reader = BufReader::new(stream);
+    for _ in &counted {
+        let line = read_line(&mut reader);
+        assert!(
+            line.starts_with("err E001 ") && line.contains("counted repetition unrolls"),
+            "{line}"
+        );
+    }
+    drop(reader);
     // The refusals swapped nothing in: `bib` still serves its schema.
     assert_eq!(
         framed_request(&fixture, "bib", GOOD_BIB.as_bytes(), 4096),
@@ -405,4 +434,111 @@ fn over_deep_publish_bodies_are_refused_and_serving_continues() {
     );
     let report = fixture.stop();
     assert_eq!(report.published, 0);
+}
+
+#[test]
+fn connections_past_the_cap_are_refused_until_one_closes() {
+    let config = ServerConfig {
+        max_connections: 2,
+        ..ServerConfig::default()
+    };
+    let fixture = Fixture::two_schemas(ServiceLimits::default(), config);
+    let request = format!("V cat {}\n{GOOD_CAT}", GOOD_CAT.len());
+    let round_trip = |stream: &mut TcpStream| {
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        read_line(&mut reader)
+    };
+
+    // Two connections hold both slots.
+    let mut first = fixture.connect();
+    let mut second = fixture.connect();
+    assert_eq!(round_trip(&mut first), "ok");
+    assert_eq!(round_trip(&mut second), "ok");
+
+    // The third is answered with one line and closed.
+    let mut response = String::new();
+    fixture.connect().read_to_string(&mut response).unwrap();
+    assert_eq!(
+        response,
+        "err E305 - server is at its connection cap of 2\n"
+    );
+
+    // Once one connection has closed, a new one is admitted.
+    first.shutdown(Shutdown::Write).unwrap();
+    let mut rest = Vec::new();
+    first.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty());
+    assert_eq!(round_trip(&mut fixture.connect()), "ok");
+    drop(second);
+    let report = fixture.stop();
+    assert_eq!(report.connections, 3);
+    assert_eq!(report.documents, 3);
+}
+
+#[test]
+fn a_slow_publish_does_not_hold_up_other_connections() {
+    // A publish body within every cap that takes a while to compile: one
+    // content model over 60 000 names.
+    let names: Vec<String> = (0..60_000).map(|i| format!("n{i}")).collect();
+    let groups: Vec<String> = names
+        .chunks(1000)
+        .map(|group| format!("({})", group.join(" | ")))
+        .collect();
+    let dtd = format!("<!ELEMENT doc ({})*>", groups.join(" | "));
+    let fixture = Fixture::two_schemas(ServiceLimits::default(), ServerConfig::default());
+
+    let mut publisher = fixture.connect();
+    let mut request = format!("P bib {}\n", dtd.len()).into_bytes();
+    request.extend_from_slice(dtd.as_bytes());
+    publisher.write_all(&request).unwrap();
+    let published = thread::spawn(move || {
+        let line = read_line(&mut BufReader::new(publisher));
+        (line, std::time::Instant::now())
+    });
+    // Let the server start compiling, then validate on another connection.
+    thread::sleep(Duration::from_millis(100));
+    let verdict = framed_request(&fixture, "cat", GOOD_CAT.as_bytes(), usize::MAX);
+    let verdict_at = std::time::Instant::now();
+    let (publish_line, published_at) = published.join().unwrap();
+
+    assert_eq!(verdict, "ok");
+    assert_eq!(publish_line, "ok");
+    assert!(
+        verdict_at < published_at,
+        "the verdict waited for the compile"
+    );
+    let report = fixture.stop();
+    assert_eq!(report.published, 1);
+}
+
+#[test]
+fn connections_idle_between_requests_are_closed() {
+    let limits = ServiceLimits::default().with_idle_budget(5);
+    let config = ServerConfig {
+        tick_interval: Duration::from_millis(10),
+        ..ServerConfig::default()
+    };
+    let fixture = Fixture::two_schemas(limits, config);
+
+    // Silent from the start, after a served request, and mid-header: each
+    // connection is closed with nothing written once the budget passes.
+    let mut silent = fixture.connect();
+    let mut served = fixture.connect();
+    let body = format!("V cat {}\n{GOOD_CAT}", GOOD_CAT.len());
+    served.write_all(body.as_bytes()).unwrap();
+    let mut partial = fixture.connect();
+    partial.write_all(b"V ca").unwrap();
+
+    let mut rest = Vec::new();
+    assert_eq!(silent.read_to_end(&mut rest).unwrap(), 0);
+    let mut response = String::new();
+    served.read_to_string(&mut response).unwrap();
+    assert_eq!(response, "ok\n");
+    assert_eq!(partial.read_to_end(&mut rest).unwrap(), 0);
+
+    let report = fixture.stop();
+    assert_eq!(report.documents, 1);
+    assert_eq!(report.swept, 0);
+    assert_eq!(report.protocol_errors, 0);
 }

@@ -10,6 +10,7 @@
 
 use redet_core::{Code, Diagnostic};
 use redet_schema::{FeedStatus, SchemaBuilder, ServiceLimits};
+use redet_server::server::connection_cap_refusal;
 use redet_server::wire::{render_diagnostic, render_verdict};
 
 #[test]
@@ -61,6 +62,36 @@ fn over_deep_content_models_are_pinned() {
 }
 
 #[test]
+fn over_large_counted_models_are_pinned() {
+    // A counted publish body is refused before it is unrolled when the
+    // unrolled tree would cross a cap, at the counted node's `{`. One line
+    // per cap: depth, positions, position-set entries.
+    let render = |model: &str| {
+        let diagnostics = SchemaBuilder::new()
+            .parse_dtd(&format!("<!ELEMENT doc {model}>"))
+            .build()
+            .unwrap_err();
+        render_diagnostic(&diagnostics[0])
+    };
+    assert_eq!(
+        render("(a{100000})"),
+        "err E001 16..16 in the content model of <doc>: counted repetition \
+         unrolls deeper than 4500 levels"
+    );
+    let sequence = vec!["a"; 1000].join(", ");
+    assert_eq!(
+        render(&format!("(({sequence}){{66}})")),
+        "err E001 3015..3015 in the content model of <doc>: counted repetition \
+         unrolls to more than 65536 positions"
+    );
+    assert_eq!(
+        render("((a, b?){1,20000})"),
+        "err E001 22..22 in the content model of <doc>: counted repetition \
+         unrolls to more than 2097152 position-set entries"
+    );
+}
+
+#[test]
 fn validation_error_appends_the_document_location() {
     let schema = SchemaBuilder::new()
         .element("bibliography", "(book)+")
@@ -93,6 +124,14 @@ fn overload_refusal_is_pinned() {
     assert_eq!(
         render_diagnostic(&refusal),
         "err E305 - service is at its in-flight handle cap of 2"
+    );
+}
+
+#[test]
+fn connection_cap_refusal_is_pinned() {
+    assert_eq!(
+        render_diagnostic(&connection_cap_refusal(2)),
+        "err E305 - server is at its connection cap of 2"
     );
 }
 

@@ -35,6 +35,6 @@ pub use error::{ParseError, Span, SyntaxError};
 pub use normalize::normalize;
 pub use parser::{
     parse, parse_spanned, parse_spanned_with_alphabet, parse_with_alphabet, MAX_NESTING,
-    MAX_TREE_DEPTH,
+    MAX_TREE_DEPTH, MAX_UNROLLED_POSITIONS, MAX_UNROLLED_SET_ENTRIES,
 };
 pub use properties::ExprStats;

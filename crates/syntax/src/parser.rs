@@ -20,6 +20,16 @@
 //! [`MAX_TREE_DEPTH`] nodes, or parentheses nested deeper than
 //! [`MAX_NESTING`], is a [`ParseError`] at the token that crossed the cap.
 //!
+//! A model with numeric occurrence indicators (`e{i,j}`) is compiled by
+//! unrolling them (`redet_automata::unroll_counting`) into a tree whose
+//! follow lists are stored explicitly, so the parser also bounds the tree
+//! the unroll *will* build, before anything is built: its depth (again
+//! [`MAX_TREE_DEPTH`]), its position count ([`MAX_UNROLLED_POSITIONS`]) and
+//! the position-set entries its Glushkov automaton stores
+//! ([`MAX_UNROLLED_SET_ENTRIES`]). Crossing one is a [`ParseError`] at the
+//! operator token where it is crossed — for a single counted node, at its
+//! `{`.
+//!
 //! ```
 //! use redet_syntax::{parse, Regex};
 //!
@@ -49,6 +59,19 @@ pub const MAX_TREE_DEPTH: usize = 4_500;
 /// frames on top of the tree node it may add, so nesting is capped below
 /// [`MAX_TREE_DEPTH`]. The tokenizer enforces it, before any recursion.
 pub const MAX_NESTING: usize = 1_000;
+
+/// The most positions a counted model may unroll to. Each unrolled copy of
+/// a position is a node of the compiled simulation.
+pub const MAX_UNROLLED_POSITIONS: usize = 1 << 16;
+
+/// The most position-set entries a counted model may unroll to: every
+/// follow pair (position `p` may be followed by position `q`) plus the
+/// first and last sets of every node, which the unrolled model's Glushkov
+/// automaton all materialises. Each copy of a counted body follows every
+/// last position of the copy before it with every first position of its
+/// own, so `(b1 | … | bn){1,2}` alone adds `n²` pairs, and a union of `n`
+/// names holds `n²` first/last entries along its chain of union nodes.
+pub const MAX_UNROLLED_SET_ENTRIES: usize = 1 << 21;
 
 /// Parses `input` into an expression, interning symbols into a fresh
 /// [`Alphabet`].
@@ -267,6 +290,183 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '-' || c == '.'
 }
 
+/// The size measures of a parsed subtree the parse caps bound: its depth
+/// as parsed, and — for the tree `unroll_counting` would build from it —
+/// its depth, positions, first/last set sizes, nullability and
+/// position-set entries (Glushkov's construction, counted rather than
+/// built). Counts saturate.
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    depth: usize,
+    unrolled_depth: usize,
+    positions: usize,
+    first: usize,
+    last: usize,
+    nullable: bool,
+    /// Follow pairs plus the first/last set sizes of every node.
+    entries: usize,
+    /// Whether the subtree has a genuine counter (not `e+`), so that it is
+    /// compiled unrolled.
+    counted: bool,
+}
+
+impl Shape {
+    const LEAF: Shape = Shape {
+        depth: 1,
+        unrolled_depth: 1,
+        positions: 1,
+        first: 1,
+        last: 1,
+        nullable: false,
+        entries: 2,
+        counted: false,
+    };
+
+    fn concat(&self, r: &Shape) -> Shape {
+        Shape {
+            depth: self.depth.max(r.depth) + 1,
+            unrolled_depth: self.unrolled_depth.max(r.unrolled_depth) + 1,
+            positions: self.positions.saturating_add(r.positions),
+            first: if self.nullable {
+                self.first.saturating_add(r.first)
+            } else {
+                self.first
+            },
+            last: if r.nullable {
+                r.last.saturating_add(self.last)
+            } else {
+                r.last
+            },
+            nullable: self.nullable && r.nullable,
+            entries: self
+                .entries
+                .saturating_add(r.entries)
+                .saturating_add(self.last.saturating_mul(r.first)),
+            counted: self.counted || r.counted,
+        }
+        .with_sets()
+    }
+
+    fn union(&self, r: &Shape) -> Shape {
+        Shape {
+            depth: self.depth.max(r.depth) + 1,
+            unrolled_depth: self.unrolled_depth.max(r.unrolled_depth) + 1,
+            positions: self.positions.saturating_add(r.positions),
+            first: self.first.saturating_add(r.first),
+            last: self.last.saturating_add(r.last),
+            nullable: self.nullable || r.nullable,
+            entries: self.entries.saturating_add(r.entries),
+            counted: self.counted || r.counted,
+        }
+        .with_sets()
+    }
+
+    fn opt(&self) -> Shape {
+        Shape {
+            depth: self.depth + 1,
+            unrolled_depth: self.unrolled_depth + 1,
+            nullable: true,
+            ..*self
+        }
+        .with_sets()
+    }
+
+    fn star(&self) -> Shape {
+        let mut star = self.opt();
+        star.entries = star
+            .entries
+            .saturating_add(self.last.saturating_mul(self.first));
+        star
+    }
+
+    /// Counts a new node's own first and last sets.
+    fn with_sets(mut self) -> Shape {
+        self.entries = self
+            .entries
+            .saturating_add(self.first)
+            .saturating_add(self.last);
+        self
+    }
+
+    /// `e{min,max}` (`e+` is `e{1,}`): one node as parsed, and the tree
+    /// `unroll_counting` expands it to — `min` copies chained left-deep,
+    /// then `e*` or `max − min` nested optional copies. The fold stops as
+    /// soon as a cap is crossed, so huge bounds cost nothing.
+    fn repeat(&self, min: u32, max: Option<u32>) -> Shape {
+        let within = |shape: &Shape| !shape.over_caps();
+        let mut unrolled = match max {
+            None if min == 0 => self.star(),
+            None => {
+                let mut chain = *self;
+                for _ in 1..min {
+                    if !within(&chain) {
+                        break;
+                    }
+                    chain = chain.concat(self);
+                }
+                chain.concat(&self.star())
+            }
+            Some(max) => {
+                let mut tail: Option<Shape> = None;
+                for _ in 0..max - min {
+                    tail = Some(match tail {
+                        None => self.opt(),
+                        Some(t) if within(&t) => self.concat(&t).opt(),
+                        Some(_) => break,
+                    });
+                }
+                let mut chain = (min > 0).then_some(*self);
+                for _ in 1..min {
+                    match chain {
+                        Some(c) if within(&c) => chain = Some(c.concat(self)),
+                        _ => break,
+                    }
+                }
+                match (chain, tail) {
+                    (Some(c), Some(t)) => c.concat(&t),
+                    (Some(c), None) => c,
+                    (None, Some(t)) => t,
+                    (None, None) => self.opt(),
+                }
+            }
+        };
+        unrolled.depth = self.depth + 1;
+        unrolled.counted = self.counted || !(min == 1 && max.is_none());
+        unrolled
+    }
+
+    /// Whether the unrolled tree crosses a cap (only meaningful for
+    /// counted subtrees).
+    fn over_caps(&self) -> bool {
+        self.unrolled_depth > MAX_TREE_DEPTH
+            || self.positions > MAX_UNROLLED_POSITIONS
+            || self.entries > MAX_UNROLLED_SET_ENTRIES
+    }
+
+    /// `self`, or the error naming the cap it crosses at the token at
+    /// `offset`: the parsed depth for every tree, the unrolled measures for
+    /// counted ones.
+    fn checked(self, offset: usize) -> Result<Shape, ParseError> {
+        let crossed = if self.depth > MAX_TREE_DEPTH {
+            format!("expression nests deeper than {MAX_TREE_DEPTH} levels")
+        } else if !self.counted {
+            return Ok(self);
+        } else if self.unrolled_depth > MAX_TREE_DEPTH {
+            format!("counted repetition unrolls deeper than {MAX_TREE_DEPTH} levels")
+        } else if self.positions > MAX_UNROLLED_POSITIONS {
+            format!("counted repetition unrolls to more than {MAX_UNROLLED_POSITIONS} positions")
+        } else if self.entries > MAX_UNROLLED_SET_ENTRIES {
+            format!(
+                "counted repetition unrolls to more than {MAX_UNROLLED_SET_ENTRIES} \
+                 position-set entries"
+            )
+        } else {
+            return Ok(self);
+        };
+        Err(ParseError::new(offset, crossed))
+    }
+}
+
 struct Parser<'a> {
     tokens: Vec<(usize, usize, Token)>,
     pos: usize,
@@ -301,34 +501,22 @@ impl<'a> Parser<'a> {
         tok
     }
 
-    /// `depth + 1` for a node built on the token at `offset`, or the error
-    /// naming the cap if that crosses [`MAX_TREE_DEPTH`].
-    fn deeper(offset: usize, depth: usize) -> Result<usize, ParseError> {
-        if depth >= MAX_TREE_DEPTH {
-            return Err(ParseError::new(
-                offset,
-                format!("expression nests deeper than {MAX_TREE_DEPTH} levels"),
-            ));
-        }
-        Ok(depth + 1)
-    }
+    // Each `parse_*` returns the subtree and its `Shape`.
 
-    // Each `parse_*` returns the subtree and its depth in nodes.
-
-    fn parse_union(&mut self) -> Result<(Regex, usize), ParseError> {
-        let (mut expr, mut depth) = self.parse_concat()?;
+    fn parse_union(&mut self) -> Result<(Regex, Shape), ParseError> {
+        let (mut expr, mut shape) = self.parse_concat()?;
         while matches!(self.peek(), Some(Token::Union)) {
             let offset = self.offset();
             self.bump();
-            let (rhs, rhs_depth) = self.parse_concat()?;
-            depth = Self::deeper(offset, depth.max(rhs_depth))?;
+            let (rhs, rhs_shape) = self.parse_concat()?;
+            shape = shape.union(&rhs_shape).checked(offset)?;
             expr = expr.or(rhs);
         }
-        Ok((expr, depth))
+        Ok((expr, shape))
     }
 
-    fn parse_concat(&mut self) -> Result<(Regex, usize), ParseError> {
-        let (mut expr, mut depth) = self.parse_postfix()?;
+    fn parse_concat(&mut self) -> Result<(Regex, Shape), ParseError> {
+        let (mut expr, mut shape) = self.parse_postfix()?;
         loop {
             let offset = self.offset();
             match self.peek() {
@@ -338,31 +526,33 @@ impl<'a> Parser<'a> {
                 Some(Token::LParen) | Some(Token::Ident(_)) => {}
                 _ => break,
             }
-            let (rhs, rhs_depth) = self.parse_postfix()?;
-            depth = Self::deeper(offset, depth.max(rhs_depth))?;
+            let (rhs, rhs_shape) = self.parse_postfix()?;
+            shape = shape.concat(&rhs_shape).checked(offset)?;
             expr = expr.then(rhs);
         }
-        Ok((expr, depth))
+        Ok((expr, shape))
     }
 
-    fn parse_postfix(&mut self) -> Result<(Regex, usize), ParseError> {
-        let (mut expr, mut depth) = self.parse_atom()?;
+    fn parse_postfix(&mut self) -> Result<(Regex, Shape), ParseError> {
+        let (mut expr, mut shape) = self.parse_atom()?;
         loop {
             let offset = self.offset();
-            expr = match self.peek() {
-                Some(Token::Star) => expr.star(),
-                Some(Token::Question) => expr.opt(),
-                Some(Token::PostfixPlus) => expr.plus(),
-                Some(Token::Repeat(min, max)) => expr.repeat(*min, *max),
+            (expr, shape) = match self.peek() {
+                Some(Token::Star) => (expr.star(), shape.star()),
+                Some(Token::Question) => (expr.opt(), shape.opt()),
+                Some(Token::PostfixPlus) => (expr.plus(), shape.repeat(1, None)),
+                Some(Token::Repeat(min, max)) => {
+                    (expr.repeat(*min, *max), shape.repeat(*min, *max))
+                }
                 _ => break,
             };
             self.bump();
-            depth = Self::deeper(offset, depth)?;
+            shape = shape.checked(offset)?;
         }
-        Ok((expr, depth))
+        Ok((expr, shape))
     }
 
-    fn parse_atom(&mut self) -> Result<(Regex, usize), ParseError> {
+    fn parse_atom(&mut self) -> Result<(Regex, Shape), ParseError> {
         let offset = self.offset();
         let end = self
             .tokens
@@ -379,7 +569,7 @@ impl<'a> Parser<'a> {
             }
             Some(Token::Ident(name)) => {
                 self.spans.push(Span::new(offset, end));
-                Ok((Regex::symbol(self.alphabet.intern(&name)), 1))
+                Ok((Regex::symbol(self.alphabet.intern(&name)), Shape::LEAF))
             }
             Some(tok) => Err(ParseError::new(
                 offset,
@@ -521,6 +711,60 @@ mod tests {
             let expected = nth_offset(input, needle, crossing) + usize::from(needle == " ");
             assert_eq!(err.offset, expected, "{needle:?}");
         }
+    }
+
+    #[test]
+    fn counted_models_are_bounded_by_their_unrolled_tree() {
+        let crossing = |input: &str| {
+            let err = parse(input).unwrap_err();
+            (err.offset, err.message)
+        };
+        // Depth: `a{n}` unrolls to a chain of n copies.
+        assert!(parse(&format!("a{{{MAX_TREE_DEPTH}}}")).is_ok());
+        assert_eq!(
+            crossing(&format!("a{{{}}}", MAX_TREE_DEPTH + 1)),
+            (
+                1,
+                format!("counted repetition unrolls deeper than {MAX_TREE_DEPTH} levels")
+            )
+        );
+        // Huge bounds are refused without unrolling them.
+        assert_eq!(crossing("b, a{4294967295}").0, 4);
+        assert_eq!(crossing("(a, b?){0,4294967295}").0, 7);
+        // Positions: 1 000 per copy.
+        let sequence = vec!["a"; 1000].join(" ");
+        assert!(parse(&format!("({sequence}){{65}}")).is_ok());
+        assert_eq!(
+            crossing(&format!("({sequence}){{66}}")).1,
+            format!("counted repetition unrolls to more than {MAX_UNROLLED_POSITIONS} positions")
+        );
+        // Position-set entries: n names, two copies, n² follow pairs.
+        let union = |n: usize| {
+            let names: Vec<String> = (0..n).map(|i| format!("a{i}")).collect();
+            format!("({}){{1,2}}", names.join("|"))
+        };
+        assert!(parse(&union(834)).is_ok());
+        assert_eq!(
+            crossing(&union(835)).1,
+            format!(
+                "counted repetition unrolls to more than {MAX_UNROLLED_SET_ENTRIES} \
+                 position-set entries"
+            )
+        );
+        // A counter anywhere makes the whole model unrolled: a wide `+`
+        // is free on its own but not next to a counter.
+        let plus = format!(
+            "({})+",
+            (0..2000)
+                .map(|i| format!("a{i}"))
+                .collect::<Vec<_>>()
+                .join("|")
+        );
+        assert!(parse(&plus).is_ok());
+        let err = parse(&format!("{plus}, b{{2}}")).unwrap_err();
+        assert_eq!(err.offset, plus.len());
+        // Counter-free models are never bounded by the unrolled measures.
+        assert!(parse(&format!("({})*", union(3000).trim_end_matches("{1,2}"))).is_ok());
     }
 
     #[test]

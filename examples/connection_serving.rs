@@ -1,11 +1,11 @@
-//! Connection-oriented serving — now over a real socket.
+//! Connection-oriented serving over a real socket.
 //!
-//! Earlier revisions of this example drove a `ValidationService` by hand
-//! to imitate a network loop. The workspace now ships that loop for real:
 //! `redet-server`'s [`Server`] is a dependency-free TCP front end over a
-//! [`SchemaRouter`], and this example exercises it the way `redet serve`
-//! does — bind an ephemeral port, run the poll loop on a thread, and talk
-//! to it with plain `TcpStream`s:
+//! [`SchemaRouter`]: every connection gets its own thread over a blocking
+//! `std::net` socket, and each thread validates its requests on its own
+//! `ValidationService` per schema id. This example exercises it the way
+//! `redet serve` does — bind an ephemeral port, run the accept loop on a
+//! thread, and talk to it with plain `TcpStream`s:
 //!
 //! - a **pipelined** client: three framed requests across two schemas in
 //!   one write, three verdict lines back;
@@ -23,8 +23,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 
 fn main() {
-    // Two document types behind one socket: each schema gets its own
-    // governed ValidationService, routed by the id in the request header.
+    // Two document types behind one socket, routed by the id in the
+    // request header and governed by the same limits.
     let bibliography = SchemaBuilder::new()
         .parse_dtd(
             "<!ELEMENT bibliography (book)*>
@@ -55,7 +55,7 @@ fn main() {
     let server =
         Server::bind("127.0.0.1:0", router, ServerConfig::default()).expect("loopback bind");
     let addr = server.local_addr().unwrap();
-    let serving = std::thread::spawn(move || server.run().expect("poll loop"));
+    let serving = std::thread::spawn(move || server.run().expect("accept loop"));
     println!("serving two schemas on {addr}\n");
 
     let good_bib = "<bibliography><book><title/><author/><author/><year/></book></bibliography>";
