@@ -240,7 +240,7 @@ impl Registry {
         if let Some(schema) = self.lookup(hash) {
             return Ok((schema, Provenance::Cached));
         }
-        let built = Self::build_one(source);
+        let built = Self::build(source);
         self.record(hash, &built);
         built.map(|schema| (schema, Provenance::Compiled))
     }
@@ -261,10 +261,17 @@ impl Registry {
         if let Some(schema) = lock().lookup(hash) {
             return Ok((schema, Provenance::Cached));
         }
-        let built = Self::build_one(source);
+        let built = Self::build(source);
         let evicted = lock().record(hash, &built);
         drop(evicted);
         built.map(|schema| (schema, Provenance::Compiled))
+    }
+
+    /// The cached artifact for `source` — a counted hit, marked most
+    /// recently used — or `None`, which counts nothing: a caller that
+    /// compiles the text itself pairs this with [`Registry::build`].
+    pub fn cached(&mut self, source: &str) -> Option<Arc<Schema>> {
+        self.lookup(content_hash(source))
     }
 
     /// A cache hit (counted, and marked most recently used), or `None`.
@@ -344,7 +351,7 @@ impl Registry {
         let shards = workers.max(1).min(pending.len().max(1));
         if shards <= 1 {
             for ((_, source), slot) in pending.iter().zip(&mut outcomes) {
-                *slot = Some(Self::build_one(source));
+                *slot = Some(Self::build(source));
             }
         } else {
             // Balanced contiguous shards, same split as ValidatorPool.
@@ -361,7 +368,7 @@ impl Registry {
                     out_rest = outs_tail;
                     scope.spawn(move || {
                         for ((_, source), slot) in jobs.iter().zip(outs) {
-                            *slot = Some(Self::build_one(source));
+                            *slot = Some(Self::build(source));
                         }
                     });
                 }
@@ -457,7 +464,9 @@ impl Registry {
         }
     }
 
-    fn build_one(source: &str) -> Result<Arc<Schema>, Diagnostic> {
+    /// Compiles DTD source text without touching any cache, returning the
+    /// first build diagnostic on failure — what a cache miss runs.
+    pub fn build(source: &str) -> Result<Arc<Schema>, Diagnostic> {
         SchemaBuilder::new()
             .parse_dtd(source)
             .build()
@@ -535,6 +544,24 @@ mod tests {
             Provenance::Compiled
         );
         assert_eq!(registry.stats().cached, MAX_CACHED);
+    }
+
+    #[test]
+    fn cached_counts_only_hits() {
+        let mut registry = Registry::new();
+        let text = note_dtd("");
+        assert!(registry.cached(&text).is_none());
+        let built = Registry::build(&text).unwrap();
+        assert_eq!(registry.stats(), RegistryStats::default());
+        let compiled = registry.compile(&text).unwrap();
+        assert!(!Arc::ptr_eq(&built, &compiled));
+        let hit = registry.cached(&format!(" {text}\n")).unwrap();
+        assert!(Arc::ptr_eq(&hit, &compiled));
+        let stats = registry.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.compiled, stats.cached),
+            (1, 1, 1, 1)
+        );
     }
 
     #[test]

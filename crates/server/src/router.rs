@@ -160,6 +160,15 @@ impl SchemaRouter {
             })
     }
 
+    /// The schema currently published under route `index`.
+    ///
+    /// # Panics
+    /// Panics if `index` names no route.
+    #[must_use]
+    pub fn current(&self, index: usize) -> Arc<Schema> {
+        self.routes[index].schema.load()
+    }
+
     /// Admits one document under route `index`, or refuses with the
     /// service's own [`Code::ServiceOverloaded`] diagnostic when the
     /// route's in-flight cap is reached.

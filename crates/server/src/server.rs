@@ -26,11 +26,11 @@
 //! definite end) and atomically hot-swaps the schema registered under its
 //! id: documents already in flight finish against the artifact they opened
 //! under, requests after the `ok` response validate against the new one
-//! (see [`SchemaRouter::publish`]). The body compiles through the server's
-//! [`Registry`], so re-publishing previously seen text is a cache hit.
-//! Compile failures answer with the build diagnostic and leave the previous
-//! schema serving; unknown ids answer `E103` — publishing never creates a
-//! new wire id.
+//! (see [`SchemaRouter::publish`]). The body is looked up in the server's
+//! [`Registry`] cache, so re-publishing previously seen text is a cache
+//! hit. Compile failures answer with the build diagnostic and leave the
+//! previous schema serving; unknown ids answer `E103` — publishing never
+//! creates a new wire id.
 //!
 //! Body bytes stream straight into [`ValidationService::feed_bytes`]
 //! exactly as the socket delivers them, so chunk boundaries fall wherever
@@ -52,6 +52,14 @@
 //! id's current schema before every open. The shared [`SchemaRouter`] is
 //! read-only after startup: admission is one atomic counter per id
 //! (`E305`), a publish is one `SharedSchema` publish.
+//!
+//! A `P` body that misses the [`Registry`] cache compiles on the
+//! connection that sent it, which publishes that artifact and answers.
+//! The cache keeps its own artifact for the text, compiled again on one
+//! long-lived cache thread: cached schemas outlive the connection that
+//! published them, and allocating them all on one thread keeps them in
+//! one malloc arena, so the server's resident memory does not depend on
+//! how client connections overlap.
 //!
 //! [`ServerConfig::max_connections`] bounds the thread count: past it the
 //! acceptor answers with one `E305` line and closes the connection. When a
@@ -82,7 +90,7 @@ use std::net::{
 };
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -90,11 +98,14 @@ use std::time::{Duration, Instant};
 #[allow(unused_imports)]
 use redet_schema::ServiceLimits;
 
-/// Stack size of a connection thread: 8 MiB, the main thread's. `P`
-/// bodies compile on the connection that sent them, and content models at
-/// the parser's depth caps must compile there. Only touched pages count
-/// toward resident memory.
+/// Stack size of the connection threads and the cache thread: 8 MiB, the
+/// main thread's, so content models at the parser's depth caps compile
+/// there. Only touched pages count toward resident memory.
 pub const CONN_STACK: usize = 8 << 20;
+
+/// Published texts waiting for the cache thread; past this many, a text
+/// is published uncached rather than queued.
+const CACHE_QUEUE: usize = 16;
 
 /// Size of a connection's read buffer (grown to fit `max_header_len`).
 const READ_BUF: usize = 16 * 1024;
@@ -225,7 +236,10 @@ pub struct Server {
 /// What every connection thread shares.
 struct Shared {
     router: SchemaRouter,
-    registry: Mutex<Registry>,
+    /// The compile cache `P` bodies are looked up in.
+    registry: Arc<Mutex<Registry>>,
+    /// Texts the cache thread compiles into the cache.
+    to_cache: mpsc::SyncSender<String>,
     config: ServerConfig,
     stop: Arc<AtomicBool>,
     wake: SocketAddr,
@@ -337,9 +351,23 @@ impl Server {
             .filter_map(|limits| limits.idle_budget())
             .min()
             .map(|budget| idle_timeout(&config, budget));
+        let registry = Arc::new(Mutex::new(registry));
+        let (to_cache, texts) = mpsc::sync_channel::<String>(CACHE_QUEUE);
+        let cache_thread = {
+            let registry = Arc::clone(&registry);
+            thread::Builder::new()
+                .name("redet-cache".to_owned())
+                .stack_size(CONN_STACK)
+                .spawn(move || {
+                    for source in texts {
+                        let _ = Registry::compile_shared(&registry, &source);
+                    }
+                })?
+        };
         let shared = Arc::new(Shared {
             router,
-            registry: Mutex::new(registry),
+            registry,
+            to_cache,
             config,
             stop,
             wake,
@@ -411,6 +439,9 @@ impl Server {
             conn.close(false);
         }
         join_all(live, &mut report);
+        // The last sender goes with `shared`, which ends the cache thread.
+        drop(shared);
+        let _ = cache_thread.join();
         Ok(report)
     }
 }
@@ -781,21 +812,40 @@ impl Conn<'_> {
                 Err(_) => return Flow::Close,
             }
         }
-        let outcome = match std::str::from_utf8(&body) {
-            Ok(source) => Registry::compile_shared(&self.shared.registry, source)
-                .and_then(|(schema, _)| self.shared.router.publish(&id, schema)),
-            Err(_) => Err(Diagnostic::new(
-                Code::ProtocolError,
-                "publish body is not UTF-8",
-            )),
+        let Ok(source) = String::from_utf8(body) else {
+            let refusal = Diagnostic::new(Code::ProtocolError, "publish body is not UTF-8");
+            self.respond(&wire::render_diagnostic(&refusal));
+            return Flow::Next;
         };
-        match outcome {
+        // Held until after the answer: when the route has the last
+        // reference to the artifact this publish supersedes, freeing it is
+        // not part of the publish's latency.
+        let router = &self.shared.router;
+        let superseded = router.find(&id).ok().map(|index| router.current(index));
+        let hit = self
+            .shared
+            .registry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .cached(&source);
+        let (built, uncached) = match hit {
+            Some(schema) => (Ok(schema), false),
+            None => (Registry::build(&source), true),
+        };
+        match built.and_then(|schema| router.publish(&id, schema)) {
             Ok(_) => {
                 self.report.published += 1;
                 self.respond("ok");
+                // The cache compiles its own artifact for the text on the
+                // cache thread (see the module docs), after the answer; a
+                // full queue leaves the text uncached.
+                if uncached {
+                    let _ = self.shared.to_cache.try_send(source);
+                }
             }
             Err(refusal) => self.respond(&wire::render_diagnostic(&refusal)),
         }
+        drop(superseded);
         Flow::Next
     }
 

@@ -513,6 +513,45 @@ fn a_slow_publish_does_not_hold_up_other_connections() {
 }
 
 #[test]
+fn publishes_from_concurrent_connections_all_answer() {
+    // Bodies sent at once from several connections each get their own
+    // answer, a failed compile included; the texts they queue for the
+    // cache thread hold none of them up.
+    let bodies = [
+        BIB_DTD.to_owned(),
+        format!("{BIB_DTD}<!ELEMENT unused EMPTY>"),
+        BIB_DTD.to_owned(),
+        "<!ELEMENT a (b | b)>".to_owned(),
+    ];
+    let fixture = Fixture::two_schemas(ServiceLimits::default(), ServerConfig::default());
+    let publishers: Vec<_> = bodies
+        .iter()
+        .map(|dtd| {
+            let mut stream = fixture.connect();
+            let mut request = format!("P bib {}\n", dtd.len()).into_bytes();
+            request.extend_from_slice(dtd.as_bytes());
+            thread::spawn(move || {
+                stream.write_all(&request).unwrap();
+                read_line(&mut BufReader::new(stream))
+            })
+        })
+        .collect();
+    let lines: Vec<String> = publishers
+        .into_iter()
+        .map(|publisher| publisher.join().unwrap())
+        .collect();
+    assert_eq!(lines[..3], ["ok", "ok", "ok"]);
+    assert!(lines[3].starts_with("err E003 "), "{}", lines[3]);
+    // Whichever body swapped in last, `bib` serves the bibliography.
+    assert_eq!(
+        framed_request(&fixture, "bib", GOOD_BIB.as_bytes(), 4096),
+        "ok"
+    );
+    let report = fixture.stop();
+    assert_eq!(report.published, 3);
+}
+
+#[test]
 fn connections_idle_between_requests_are_closed() {
     let limits = ServiceLimits::default().with_idle_budget(5);
     let config = ServerConfig {
