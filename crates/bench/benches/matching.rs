@@ -277,60 +277,6 @@ fn bench_document_validation(h: &mut Harness) {
     }
 }
 
-/// E12: sharded batch validation — N documents fanned across M worker
-/// validators sharing one `Arc<Schema>` (`ValidatorPool` over
-/// `std::thread::scope`), swept over the worker count, against the
-/// single-threaded validator loop on the same corpus (the `single_thread`
-/// reference series the regression gate ratios against).
-fn bench_batch_validation(h: &mut Harness) {
-    use redet_bench::book_document_events;
-    use redet_schema::{SchemaBuilder, ValidatorPool};
-
-    h.group("E12_batch_validation");
-    let schema = SchemaBuilder::new()
-        .parse_dtd(redet_workloads::BOOK_DTD)
-        .build()
-        .expect("BOOK_DTD compiles");
-    // Scoped threads are spawned per batch (tens of microseconds each), so
-    // the corpus must be large enough for the sharded work to dominate —
-    // the regime the pool is for.
-    let (n_docs, chapters) = if h.is_fast() { (24, 2) } else { (256, 8) };
-    let documents: Vec<Vec<redet_bench::DocEvent>> = (0..n_docs)
-        .map(|i| book_document_events(&schema, chapters, 0xE12 ^ i as u64))
-        .collect();
-    let total_events: usize = documents.iter().map(Vec::len).sum();
-    h.throughput(total_events as u64);
-
-    let mut single = schema.validator();
-    // Sweep worker counts up to the hardware's parallelism — measuring
-    // 8 workers on a single-core container would only record scheduler
-    // noise. The regression gate's scaling cap applies whenever a
-    // multi-worker point was measured.
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let max_workers = if h.is_fast() { 2 } else { 8 };
-    for workers in [1usize, 2, 4, 8] {
-        if workers > max_workers || (workers > 1 && workers > parallelism) {
-            continue;
-        }
-        // The reference series, re-measured at each parameter so the gate
-        // can ratio `sharded_pool` against same-run hardware.
-        h.bench("single_thread", workers, || {
-            documents
-                .iter()
-                .filter(|d| single.validate_events(d).is_ok())
-                .count()
-        });
-        let mut pool = ValidatorPool::new(schema.clone(), workers);
-        pool.validate_batch(&documents); // warm the workers
-        h.bench("sharded_pool", workers, || {
-            pool.validate_batch(&documents)
-                .iter()
-                .filter(|r| r.is_ok())
-                .count()
-        });
-    }
-}
-
 /// E13: interleaved connection serving — N in-flight documents fed
 /// round-robin in 64-event chunks through one `ValidationService` (the
 /// regime a server with many connections sees: every chunk resumes a parked
@@ -845,11 +791,15 @@ fn bench_schema_registry(h: &mut Harness) {
     });
     h.bench("compile_cold", distinct, || {
         let mut fresh = Registry::new();
-        fresh.compile_corpus(&sources, 1);
+        for source in &sources {
+            let _ = fresh.compile(source);
+        }
         fresh.stats().compiled
     });
     h.bench("compile_cached", distinct, || {
-        registry.compile_corpus(&sources, 1);
+        for source in &sources {
+            let _ = registry.compile(source);
+        }
         registry.stats().compiled
     });
 
@@ -892,7 +842,6 @@ fn main() {
     bench_star_free(&mut h);
     bench_compile_once_match_many(&mut h);
     bench_document_validation(&mut h);
-    bench_batch_validation(&mut h);
     bench_interleaved_serving(&mut h);
     bench_tokenizer_throughput(&mut h);
     bench_overload_serving(&mut h);

@@ -3,27 +3,24 @@
 //! Usage: `bench_regress <committed-baseline.json> <fresh-run.json>`
 //!
 //! Compares a fresh `BENCH_matching.json` against the committed baseline
-//! for the gated experiment groups (E4, E5, E7, E11, E12, E13, E14, E15,
-//! E16, E17) and exits non-zero when any algorithm regresses by more
-//! than 25%.
+//! for the gated experiment groups (E4, E5, E7, E11, E13, E14, E15, E16,
+//! E17) and exits non-zero when any algorithm regresses by more than 25%.
 //!
 //! Absolute nanosecond numbers are not comparable across machines, so the
 //! gate works on **within-group ratios**: for every `(group, param)` pair it
 //! relates each algorithm series to the group's reference series measured
 //! in the same run (`kocc` vs `glushkov_dfa`, `schema_validator` vs
-//! `dfa_per_element`, `sharded_pool` vs `single_thread`). A regression means
-//! the fresh ratio exceeds the committed ratio by more than the threshold —
-//! i.e. the algorithm got slower *relative to the same hardware's
-//! baseline*.
+//! `dfa_per_element`, `service_interleaved` vs `per_document`). A
+//! regression means the fresh ratio exceeds the committed ratio by more
+//! than the threshold — i.e. the algorithm got slower *relative to the
+//! same hardware's baseline*.
 //!
 //! Some groups additionally carry an **absolute** cap, independent of the
 //! committed file: the E11 validator must stay within [`E11_MAX_RATIO`]× of
 //! the raw DFA-per-element stack (the paper's promise is DFA-like speed
-//! with `O(|e|)` preprocessing), the E12 sharded pool must beat the
-//! single-threaded loop at its widest sweep point (batch validation must
-//! actually scale), E13 interleaved event serving must stay within
-//! [`E13_MAX_RATIO`]× of the per-document validator loop (parking and
-//! resuming documents per chunk must stay near-free), and E13 raw-byte
+//! with `O(|e|)` preprocessing), E13 interleaved event serving must stay
+//! within [`E13_MAX_RATIO`]× of the per-document validator loop (parking
+//! and resuming documents per chunk must stay near-free), and E13 raw-byte
 //! ingestion must stay within [`E13_BYTES_MAX_RATIO`]× of event-level
 //! serving (the bulk-scanning tokenizer keeps bytes first-class). E14
 //! ratio-gates the bulk tokenizer against its byte-at-a-time scalar oracle
@@ -51,7 +48,6 @@ const GATED_GROUPS: &[(&str, &str)] = &[
     ("E5_path_decomposition_matching", "dfa"),
     ("E7_star_free_multiword", "dfa"),
     ("E11_document_validation", "dfa"),
-    ("E12_batch_validation", "single_thread"),
     ("E13_interleaved_serving", "per_document"),
     ("E14_tokenizer_throughput", "scalar"),
     ("E15_overload_serving", "feed_unlimited"),
@@ -78,13 +74,6 @@ const E13_MAX_RATIO: f64 = 1.5;
 /// as pre-parsed events — the bulk-scanning tokenizer's acceptance
 /// criterion (it was ~3.4× with the byte-at-a-time scanner).
 const E13_BYTES_MAX_RATIO: f64 = 1.6;
-
-/// The E12 `sharded_pool / single_thread` ratio at the largest measured
-/// worker count must clear this bar — more workers must actually help,
-/// with headroom below break-even so scheduler noise on a shared runner
-/// cannot flip the verdict (real scaling on the full corpus sits well
-/// under this).
-const E12_MAX_SCALED_RATIO: f64 = 0.85;
 
 /// Absolute cap on `feed_governed / feed_unlimited` (E15): running the
 /// identical interleaved corpus with every `ServiceLimits` cap configured
@@ -184,10 +173,11 @@ fn ratios(entries: &[Entry]) -> BTreeMap<(String, String, String), f64> {
 }
 
 /// Absolute-cap checks on the fresh ratios (see the module docs): E11 must
-/// stay within [`E11_MAX_RATIO`]× of the raw DFA stack, E12 must beat
-/// single-threaded validation at the largest worker count, and the E13
-/// serving caps pin event-level overhead ([`E13_MAX_RATIO`]) and raw-byte
-/// ingestion ([`E13_BYTES_MAX_RATIO`]). Returns the number of violations.
+/// stay within [`E11_MAX_RATIO`]× of the raw DFA stack, the E13 serving
+/// caps pin event-level overhead ([`E13_MAX_RATIO`]) and raw-byte
+/// ingestion ([`E13_BYTES_MAX_RATIO`]), E15 caps governance overhead
+/// ([`E15_GOVERNED_MAX_RATIO`]) and E17 caps handle opens
+/// ([`E17_HANDLE_OPEN_MAX_RATIO`]). Returns the number of violations.
 fn absolute_caps(fresh: &BTreeMap<(String, String, String), f64>) -> usize {
     let mut violations = 0usize;
     for ((group, param, name), &ratio) in fresh {
@@ -247,23 +237,6 @@ fn absolute_caps(fresh: &BTreeMap<(String, String, String), f64>) -> usize {
                     violations += 1;
                 }
             }
-        }
-    }
-    // E12: the widest sweep point is the numerically largest param. The
-    // bench only sweeps past one worker when the machine has the
-    // parallelism, so a single-point sweep (single-core runner) leaves the
-    // scaling cap unexercised rather than failing vacuously.
-    let widest = fresh
-        .iter()
-        .filter(|((group, _, _), _)| group == "E12_batch_validation")
-        .max_by_key(|((_, param, _), _)| param.parse::<u64>().unwrap_or(0));
-    if let Some(((_, param, name), &ratio)) = widest {
-        if param.parse::<u64>().unwrap_or(0) >= 2 && ratio > E12_MAX_SCALED_RATIO {
-            eprintln!(
-                "E12 cap: {name} with {param} workers is {ratio:.2}x the single-threaded \
-                 loop — batch validation is not scaling"
-            );
-            violations += 1;
         }
     }
     violations
@@ -334,14 +307,14 @@ fn main() -> ExitCode {
         }
         if capped > 0 {
             eprintln!(
-                "{capped} absolute cap(s) violated (E11 ratio / E12 scaling / E13 bytes / \
+                "{capped} absolute cap(s) violated (E11 ratio / E13 serving / E13 bytes / \
                  E15 governance / E17 cached opens)"
             );
         }
         return ExitCode::FAILURE;
     }
     println!(
-        "no E4/E5/E7/E11/E12/E13/E14/E15/E16/E17 regressions beyond {:.0}%; absolute caps hold",
+        "no E4/E5/E7/E11/E13/E14/E15/E16/E17 regressions beyond {:.0}%; absolute caps hold",
         (THRESHOLD - 1.0) * 100.0
     );
     ExitCode::SUCCESS

@@ -32,6 +32,10 @@ use redet_tree::PosId;
 use std::fmt;
 
 /// Stable machine-readable diagnostic codes.
+///
+/// Codes are never reused: `E308` (a document whose validation panicked
+/// inside a batch worker) is retired with the batch worker pool and stays
+/// unassigned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Code {
@@ -103,9 +107,6 @@ pub enum Code {
     /// An operation used a document handle that was already finished,
     /// closed, or swept and recycled (a stale `DocId`).
     StaleHandle,
-    /// Validating a document panicked; the worker was replaced and the
-    /// document is reported as poisoned instead of taking down its batch.
-    PoisonedDocument,
     /// A network peer violated the line-oriented wire protocol (bad or
     /// oversized header, input ending mid-header, a disabled command).
     /// Unlike the rest of the `E3xx` family this is protocol misuse, not a
@@ -146,7 +147,6 @@ impl Code {
             Code::ServiceOverloaded => "E305",
             Code::IdleTimeout => "E306",
             Code::StaleHandle => "E307",
-            Code::PoisonedDocument => "E308",
             Code::ProtocolError => "E309",
             Code::ValueLimitExceeded => "E310",
         }
@@ -165,7 +165,6 @@ impl Code {
                 | Code::ServiceOverloaded
                 | Code::IdleTimeout
                 | Code::StaleHandle
-                | Code::PoisonedDocument
                 | Code::ValueLimitExceeded
         )
     }
@@ -386,7 +385,6 @@ mod tests {
         assert_eq!(Code::ServiceOverloaded.as_str(), "E305");
         assert_eq!(Code::IdleTimeout.as_str(), "E306");
         assert_eq!(Code::StaleHandle.as_str(), "E307");
-        assert_eq!(Code::PoisonedDocument.as_str(), "E308");
         assert_eq!(Code::UnknownSchema.as_str(), "E103");
         assert_eq!(Code::DuplicateSchema.as_str(), "E104");
         assert_eq!(Code::ProtocolError.as_str(), "E309");

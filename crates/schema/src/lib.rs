@@ -32,11 +32,7 @@
 //! * [`tokenizer`] — the bulk-scanning byte scanner behind `feed_bytes`:
 //!   SWAR delimiter search ([`redet_core::bytescan`]) consumes whole
 //!   character-data/comment/attribute runs per step and borrows tag names
-//!   straight out of the input chunk;
-//! * [`ValidatorPool`] / [`Schema::validate_batch`] shard a batch of
-//!   documents across warmed worker services on scoped threads — a thin
-//!   client of [`ValidationService`], so batch and interleaved serving
-//!   share one code path.
+//!   straight out of the input chunk.
 //!
 //! Failures — at build time and at validation time — surface as structured
 //! [`Diagnostic`]s with stable codes, byte spans into the DTD source, and
@@ -70,13 +66,11 @@
 #![warn(missing_docs)]
 
 mod dtd;
-mod pool;
 pub mod registry;
 mod service;
 pub mod tokenizer;
 mod validator;
 
-pub use pool::ValidatorPool;
 pub use registry::{content_hash, Provenance, Registry, RegistryStats, SharedSchema};
 pub use service::{in_flight_refusal, DocId, FeedStatus, ServiceLimits, ValidationService};
 pub use tokenizer::{Tag, Tokenizer};
@@ -501,21 +495,6 @@ impl Schema {
     #[must_use]
     pub fn service_with_limits(self: &Arc<Self>, limits: ServiceLimits) -> ValidationService {
         ValidationService::with_limits(Arc::clone(self), limits)
-    }
-
-    /// Validates a batch of pre-interned documents, fanning them out over
-    /// `workers` threads (each with its own warmed [`ValidationService`]).
-    /// Results come back in input order; a failed document carries the
-    /// earliest diagnostic of its validation (the service is fail-fast).
-    /// This is the one-shot form of [`ValidatorPool::validate_batch`] — for
-    /// repeated batches build a [`ValidatorPool`] once and reuse its warmed
-    /// workers.
-    pub fn validate_batch<D: AsRef<[DocEvent]> + Sync>(
-        self: &Arc<Self>,
-        documents: &[D],
-        workers: usize,
-    ) -> Vec<Result<(), Diagnostic>> {
-        ValidatorPool::new(Arc::clone(self), workers).validate_batch(documents)
     }
 }
 

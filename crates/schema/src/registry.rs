@@ -1,5 +1,5 @@
-//! Multi-tenant schema registry: content-hashed compile cache, concurrent
-//! corpus compilation, and atomic hot-swap.
+//! Multi-tenant schema registry: content-hashed compile cache and the
+//! atomic hot-swap handle.
 //!
 //! A validation *service* assumes one compiled [`Schema`]; a validation
 //! *fleet* sees thousands of schemas arriving, repeating, and changing
@@ -15,13 +15,11 @@
 //!   most [`MAX_CACHED`] artifacts and evicts the least recently used, so
 //!   a stream of distinct texts cannot pin memory for the life of the
 //!   process.
-//! * **Concurrent corpus compilation** — [`Registry::compile_corpus`] fans
-//!   a batch of DTD sources across `std::thread::scope` workers (the same
-//!   sharding pattern as [`crate::ValidatorPool`]), deduplicating by hash
-//!   *before* any thread spawns, and returns input-order results. This is
-//!   the multi-threaded entry point into [`crate::SchemaBuilder`] — the
-//!   builder and its [`redet_core::Pipeline`] are owned per worker, and
-//!   the produced [`Schema`]s are `Send + Sync`.
+//! * **Concurrent compilation** — [`Registry::compile_shared`] compiles
+//!   through a registry behind a `Mutex`, holding the lock only for the
+//!   cache lookup and the insert, so threads compile in parallel; each
+//!   compile owns its [`crate::SchemaBuilder`] pipeline, and the produced
+//!   [`Schema`]s are `Send + Sync`.
 //! * **Atomic hot-swap** — [`SharedSchema`] is a per-schema-id epoch
 //!   handle: [`SharedSchema::publish`] atomically replaces the current
 //!   `Arc<Schema>` and bumps the epoch, [`SharedSchema::load`] binds a
@@ -112,14 +110,11 @@ impl std::fmt::Display for Provenance {
 /// Cache-audit counters of a [`Registry`]; see [`Registry::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistryStats {
-    /// Compile requests served from the content-hash cache (including
-    /// batch-mates of a source compiled earlier in the same
-    /// [`Registry::compile_corpus`] call).
+    /// Compile requests served from the content-hash cache.
     pub hits: u64,
-    /// Compile requests that could not be served from the cache — each
-    /// distinct new text counts once per request that forced or awaited
-    /// its compilation's first run (failures count every time: rejected
-    /// sources are never cached).
+    /// Compile requests that could not be served from the cache, each of
+    /// which ran the pipeline (failures count every time: rejected sources
+    /// are never cached).
     pub misses: u64,
     /// Pipeline compilations actually performed (successes and failures).
     /// For a corpus of 256 sources with 32 distinct texts on a fresh
@@ -130,7 +125,7 @@ pub struct RegistryStats {
 }
 
 /// A per-schema-id hot-swap handle: the atomically publishable "current
-/// schema" slot of the registry.
+/// schema" slot behind each route of a front end's schema table.
 ///
 /// Cheap to share (`Arc<SharedSchema>`): front ends hold one handle per
 /// schema id and [`SharedSchema::load`] the current artifact when opening
@@ -187,35 +182,30 @@ impl SharedSchema {
     }
 }
 
-/// The multi-tenant schema registry: a content-hashed compile cache plus
-/// named hot-swap slots.
+/// The multi-tenant schema registry: a content-hashed compile cache.
 ///
-/// Compilation goes through [`Registry::compile`] (or the batched,
-/// multi-threaded [`Registry::compile_corpus`]): identical normalized DTD
-/// text compiles once and every caller shares the same `Arc<Schema>`.
-/// Serving goes through named slots: [`Registry::publish`] compiles (or
-/// cache-hits) a source and installs it under a schema id's
-/// [`SharedSchema`] handle, which front ends watch for hot-swaps.
+/// Compilation goes through [`Registry::compile`]: identical normalized
+/// DTD text compiles once and every caller shares the same `Arc<Schema>`.
+/// Which artifact serves which schema id is not the registry's business:
+/// front ends keep one [`SharedSchema`] per id and publish compiled
+/// artifacts into it.
 ///
-/// The registry itself is single-writer (`&mut self` for compilation and
-/// publishing) — concurrency lives in `compile_corpus`'s scoped workers,
-/// in the `SharedSchema` handles, which are freely shared across threads,
-/// and in [`Registry::compile_shared`], which compiles through a registry
-/// behind a `Mutex` without holding the lock across the compile.
+/// The registry itself is single-writer (`&mut self` for compilation);
+/// [`Registry::compile_shared`] compiles through a registry behind a
+/// `Mutex` without holding the lock across the compile.
 #[derive(Debug, Default)]
 pub struct Registry {
     /// Artifact plus the `clock` value of its last use, for LRU eviction.
     cache: HashMap<u128, (Arc<Schema>, u64)>,
     /// Bumped on every cache use.
     clock: u64,
-    slots: Vec<(String, Arc<SharedSchema>)>,
     hits: u64,
     misses: u64,
     compiled: u64,
 }
 
 impl Registry {
-    /// Creates an empty registry: no cached artifacts, no published ids.
+    /// Creates an empty registry: no cached artifacts.
     #[must_use]
     pub fn new() -> Self {
         Registry::default()
@@ -308,148 +298,6 @@ impl Registry {
         }
         let (&oldest, _) = self.cache.iter().min_by_key(|(_, (_, used))| *used)?;
         self.cache.remove(&oldest).map(|(schema, _)| schema)
-    }
-
-    /// Compiles a batch of DTD sources across up to `workers` scoped
-    /// threads, returning one result per source in input order.
-    ///
-    /// Sources are hashed and deduplicated — against the cache *and*
-    /// within the batch — before any thread spawns, so a corpus of 256
-    /// sources with 32 distinct texts performs exactly 32 pipeline
-    /// compilations, however the duplicates are ordered. Every occurrence
-    /// of the same text receives the same `Arc<Schema>` (or, for text
-    /// that fails to build, a clone of the same first diagnostic —
-    /// failures compile once per batch but are never cached across
-    /// calls). Each worker owns its own [`SchemaBuilder`] pipeline;
-    /// `workers` is clamped to the number of pending distinct sources,
-    /// and a single-shard batch compiles inline on the caller's thread.
-    pub fn compile_corpus<S: AsRef<str> + Sync>(
-        &mut self,
-        sources: &[S],
-        workers: usize,
-    ) -> Vec<Result<Arc<Schema>, Diagnostic>> {
-        let hashes: Vec<u128> = sources
-            .iter()
-            .map(|source| content_hash(source.as_ref()))
-            .collect();
-        // Artifacts cached at entry are taken now: the batch's own inserts
-        // may evict them before the results are assembled.
-        let cached_at_entry: Vec<Option<Arc<Schema>>> = hashes
-            .iter()
-            .map(|hash| self.cache.get(hash).map(|(schema, _)| Arc::clone(schema)))
-            .collect();
-        // Dedup before spawning: one job per distinct uncached text.
-        let mut pending: Vec<(u128, &str)> = Vec::new();
-        for (index, &hash) in hashes.iter().enumerate() {
-            if cached_at_entry[index].is_none() && !pending.iter().any(|&(seen, _)| seen == hash) {
-                pending.push((hash, sources[index].as_ref()));
-            }
-        }
-
-        let mut outcomes: Vec<Option<Result<Arc<Schema>, Diagnostic>>> = Vec::new();
-        outcomes.resize_with(pending.len(), || None);
-        let shards = workers.max(1).min(pending.len().max(1));
-        if shards <= 1 {
-            for ((_, source), slot) in pending.iter().zip(&mut outcomes) {
-                *slot = Some(Self::build(source));
-            }
-        } else {
-            // Balanced contiguous shards, same split as ValidatorPool.
-            let base = pending.len() / shards;
-            let extra = pending.len() % shards;
-            std::thread::scope(|scope| {
-                let mut job_rest = pending.as_slice();
-                let mut out_rest = outcomes.as_mut_slice();
-                for shard in 0..shards {
-                    let take = base + usize::from(shard < extra);
-                    let (jobs, jobs_tail) = job_rest.split_at(take);
-                    let (outs, outs_tail) = out_rest.split_at_mut(take);
-                    job_rest = jobs_tail;
-                    out_rest = outs_tail;
-                    scope.spawn(move || {
-                        for ((_, source), slot) in jobs.iter().zip(outs) {
-                            *slot = Some(Self::build(source));
-                        }
-                    });
-                }
-            });
-        }
-
-        self.compiled += pending.len() as u64;
-        let built: Vec<(u128, Result<Arc<Schema>, Diagnostic>)> = pending
-            .iter()
-            .zip(outcomes)
-            .map(|(&(hash, _), outcome)| {
-                (hash, outcome.expect("every shard fills its assigned slots"))
-            })
-            .collect();
-        for (hash, outcome) in &built {
-            if let Ok(schema) = outcome {
-                self.insert(*hash, Arc::clone(schema));
-            }
-        }
-
-        let mut counted_first: Vec<u128> = Vec::new();
-        hashes
-            .iter()
-            .zip(cached_at_entry)
-            .map(|(&hash, cached)| {
-                if let Some(schema) = cached {
-                    self.hits += 1;
-                    return Ok(schema);
-                }
-                let (_, outcome) = built
-                    .iter()
-                    .find(|(built_hash, _)| *built_hash == hash)
-                    .expect("every uncached source was compiled in this batch");
-                // First occurrence of a batch-compiled text is the miss;
-                // its batch-mates hit the just-filled cache. Failures are
-                // never cached, so every occurrence misses.
-                if outcome.is_ok() && counted_first.contains(&hash) {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                    counted_first.push(hash);
-                }
-                outcome.clone()
-            })
-            .collect()
-    }
-
-    /// Compiles `source` and installs it as schema id `id`'s current
-    /// artifact — creating the id's [`SharedSchema`] handle on first
-    /// publish, atomically hot-swapping (epoch bump) on re-publish.
-    /// Returns the published artifact; on a build failure nothing is
-    /// swapped and the id keeps its previous artifact.
-    pub fn publish(&mut self, id: &str, source: &str) -> Result<Arc<Schema>, Diagnostic> {
-        let schema = self.compile(source)?;
-        match self.slots.iter().find(|(slot_id, _)| slot_id == id) {
-            Some((_, shared)) => {
-                shared.publish(Arc::clone(&schema));
-            }
-            None => {
-                self.slots.push((
-                    id.to_owned(),
-                    Arc::new(SharedSchema::new(Arc::clone(&schema))),
-                ));
-            }
-        }
-        Ok(schema)
-    }
-
-    /// The hot-swap handle of a published schema id, if any. Clone the
-    /// `Arc` out to watch the id from other threads.
-    #[must_use]
-    pub fn handle(&self, id: &str) -> Option<&Arc<SharedSchema>> {
-        self.slots
-            .iter()
-            .find(|(slot_id, _)| slot_id == id)
-            .map(|(_, shared)| shared)
-    }
-
-    /// Published schema ids, in first-publish order.
-    pub fn ids(&self) -> impl Iterator<Item = &str> {
-        self.slots.iter().map(|(id, _)| id.as_str())
     }
 
     /// Cache-audit counters: cumulative hits/misses/compilations plus the
@@ -581,62 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn corpus_dedups_before_compiling() {
-        let mut registry = Registry::new();
-        let sources: Vec<String> = (0..64).map(|i| note_dtd(&format!("{}", i % 8))).collect();
-        let results = registry.compile_corpus(&sources, 4);
-        assert_eq!(results.len(), 64);
-        for (i, result) in results.iter().enumerate() {
-            let schema = result.as_ref().unwrap();
-            assert!(Arc::ptr_eq(schema, results[i % 8].as_ref().unwrap()));
-        }
-        let stats = registry.stats();
-        assert_eq!(stats.compiled, 8);
-        assert_eq!(stats.misses, 8);
-        assert_eq!(stats.hits, 56);
-        assert_eq!(stats.cached, 8);
-    }
-
-    #[test]
-    fn corpus_reports_per_source_failures() {
-        let mut registry = Registry::new();
-        let good = note_dtd("");
-        let bad = "<!ELEMENT a (b | b)>".to_owned();
-        let sources = [good.clone(), bad.clone(), good.clone(), bad.clone()];
-        let results = registry.compile_corpus(&sources, 2);
-        assert!(results[0].is_ok() && results[2].is_ok());
-        let first = results[1].as_ref().unwrap_err();
-        let second = results[3].as_ref().unwrap_err();
-        assert_eq!(format!("{first:?}"), format!("{second:?}"));
-        let stats = registry.stats();
-        // The failing text compiled once in the batch but is not cached.
-        assert_eq!((stats.compiled, stats.cached), (2, 1));
-        assert_eq!((stats.hits, stats.misses), (1, 3));
-    }
-
-    #[test]
-    fn publish_creates_then_hot_swaps() {
-        let mut registry = Registry::new();
-        let v1 = registry.publish("notes", &note_dtd("")).unwrap();
-        let handle = Arc::clone(registry.handle("notes").unwrap());
-        assert_eq!(handle.epoch(), 0);
-        assert!(Arc::ptr_eq(&handle.load(), &v1));
-
-        let v2 = registry.publish("notes", &note_dtd("2")).unwrap();
-        assert_eq!(handle.epoch(), 1);
-        assert!(Arc::ptr_eq(&handle.load(), &v2));
-        assert!(!Arc::ptr_eq(&v1, &v2));
-        assert_eq!(registry.ids().collect::<Vec<_>>(), ["notes"]);
-
-        // A failed publish keeps the previous artifact and epoch.
-        assert!(registry
-            .publish("notes", "<!ELEMENT note (line | line)>")
-            .is_err());
-        assert_eq!(handle.epoch(), 1);
-        assert!(Arc::ptr_eq(&handle.load(), &v2));
-    }
-
-    #[test]
     fn registry_and_handles_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Registry>();
@@ -647,8 +439,7 @@ mod tests {
     #[test]
     fn shared_schema_loads_race_free_across_threads() {
         let mut registry = Registry::new();
-        registry.publish("doc", &note_dtd("")).unwrap();
-        let handle = Arc::clone(registry.handle("doc").unwrap());
+        let handle = SharedSchema::new(registry.compile(&note_dtd("")).unwrap());
         let variants: Vec<Arc<Schema>> = (0..4)
             .map(|i| registry.compile(&note_dtd(&format!("{i}"))).unwrap())
             .collect();

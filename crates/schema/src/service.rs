@@ -56,8 +56,6 @@
 //! allocation** on the valid path — and its limit checks, no-op `tick`
 //! sweeps and rejected-handle feeds are allocation-free too (enforced by
 //! the repository's counting-allocator regression test).
-//! [`crate::ValidatorPool`] batches are a thin client of this type — batch
-//! and interleaved serving share one code path.
 
 use crate::tokenizer::{
     is_entity_error, Tag, Tokenizer, ATTR_TOO_LONG, NAME_TOO_LONG, VALUE_TOO_LONG,
@@ -127,11 +125,10 @@ pub enum FeedStatus {
     Stale,
 }
 
-/// Resource-governance configuration of a [`ValidationService`] (also
-/// threaded through [`crate::ValidatorPool`] batches). The default is
-/// **ungoverned** — every cap unset — so existing single-tenant uses pay
-/// nothing; a front end serving untrusted traffic configures the caps it
-/// needs:
+/// Resource-governance configuration of a [`ValidationService`]. The
+/// default is **ungoverned** — every cap unset — so existing single-tenant
+/// uses pay nothing; a front end serving untrusted traffic configures the
+/// caps it needs:
 ///
 /// ```
 /// use redet_schema::{FeedStatus, SchemaBuilder, ServiceLimits};
@@ -807,9 +804,7 @@ impl ValidationService {
     /// Validates one whole document given as a pre-interned event stream:
     /// `open` + `feed` + `finish` in one call (admission-checked — at the
     /// in-flight cap the [`Code::ServiceOverloaded`] refusal is the
-    /// verdict). This is the loop [`crate::ValidatorPool`] workers run per
-    /// document — batch validation and interleaved serving share one code
-    /// path.
+    /// verdict).
     pub fn validate_events(&mut self, events: &[DocEvent]) -> Result<(), Diagnostic> {
         let doc = self.try_open()?;
         let _ = self.feed(doc, events);

@@ -40,8 +40,7 @@
 //! # Threading
 //!
 //! The validator owns its schema (`Arc<Schema>`), so it is `Send`: open one
-//! per thread from a shared schema and validate concurrently — or let
-//! [`crate::ValidatorPool`] / [`Schema::validate_batch`] do the sharding.
+//! per thread from a shared schema and validate concurrently.
 
 use crate::{ContentKind, Dispatch, Schema};
 use redet_automata::NfaScratch;
@@ -54,14 +53,12 @@ use std::sync::Arc;
 const UNKNOWN: u32 = u32::MAX;
 
 /// One pre-interned document event, the unit [`ValidationService::feed`]
-/// and the [`ValidatorPool`] batches ship in (see
-/// [`DocumentValidator::validate_events`]).
+/// ships in (see [`DocumentValidator::validate_events`]).
 ///
 /// Marked `#[non_exhaustive]`: later revisions may grow richer event kinds
 /// (processing instructions, typed attribute values) — keep a wildcard arm
 /// when matching.
 ///
-/// [`ValidatorPool`]: crate::ValidatorPool
 /// [`ValidationService::feed`]: crate::ValidationService::feed
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -796,8 +793,7 @@ impl DocumentValidator {
     }
 
     /// Validates one whole document given as a pre-interned event stream:
-    /// replays every event and [`finish`](Self::finish)es. This is the loop
-    /// the [`crate::ValidatorPool`] workers run per document.
+    /// replays every event and [`finish`](Self::finish)es.
     pub fn validate_events(&mut self, events: &[DocEvent]) -> Result<(), Vec<Diagnostic>> {
         for &event in events {
             match event {

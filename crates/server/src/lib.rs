@@ -19,9 +19,9 @@
 //!   `serve`, `request`, `publish`, `shutdown`), hand-rolled argument
 //!   parsing included.
 //!
-//! Every governance refusal (`E301`–`E307`) crosses the wire byte-
-//! identical to its in-process rendering; the loopback integration tests
-//! hold the two sides to that.
+//! Every governance refusal (`E301`–`E307` and `E310`; `E308` is retired
+//! and never reused) crosses the wire byte-identical to its in-process
+//! rendering; the loopback integration tests hold the two sides to that.
 
 pub mod cli;
 pub mod router;

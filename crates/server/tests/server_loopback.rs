@@ -6,8 +6,9 @@
 //! half-closed mid-document — the response line is byte-identical to
 //! rendering an in-process `try_open` → `feed_bytes` → `finish` sequence
 //! over the same document through [`wire::render_verdict`]. That includes
-//! the governance refusals: `E305` under admission overload and `E306`
-//! from the wall-clock-driven idle sweeper.
+//! the governance refusals: `E305` under admission overload, `E306` from
+//! the wall-clock-driven idle sweeper and `E310` for an over-long
+//! attribute value.
 
 use redet_schema::{Schema, SchemaBuilder, ServiceLimits};
 use redet_server::server::ShutdownHandle;
@@ -232,6 +233,34 @@ fn overload_refusals_are_byte_identical_e305() {
         "ok"
     );
     fixture.stop();
+}
+
+#[test]
+fn over_long_attribute_values_are_byte_identical_e310() {
+    let limits = ServiceLimits::default();
+    let values = schema("<!ELEMENT doc EMPTY><!ATTLIST doc a CDATA #IMPLIED>");
+    let mut router = SchemaRouter::new();
+    router.register("doc", Arc::clone(&values), limits).unwrap();
+    let fixture = Fixture::start(router, ServerConfig::default());
+
+    // One byte past the tokenizer's value-length cap, delivered in writes
+    // that split the value at different offsets.
+    let body = format!("<doc a='{}'/>", "v".repeat(65_537));
+    let expected = reference(&values, limits, body.as_bytes());
+    assert_eq!(
+        expected,
+        "err E310 - attribute value exceeds the value-length cap at /doc (event 1)"
+    );
+    for chunk in [1000usize, 4096, 40_000] {
+        let got = framed_request(&fixture, "doc", body.as_bytes(), chunk);
+        assert_eq!(got, expected, "chunk size {chunk}");
+    }
+    assert_eq!(
+        framed_request(&fixture, "doc", b"<doc a='v'/>", usize::MAX),
+        "ok"
+    );
+    let report = fixture.stop();
+    assert_eq!((report.documents, report.rejected), (4, 3));
 }
 
 #[test]

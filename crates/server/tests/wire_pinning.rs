@@ -155,6 +155,27 @@ fn idle_sweep_refusal_is_pinned() {
 }
 
 #[test]
+fn over_long_attribute_value_is_pinned() {
+    // One byte past the tokenizer's value-length cap is an E310 resource
+    // refusal at the start tag that carries the value.
+    let schema = SchemaBuilder::new()
+        .parse_dtd("<!ELEMENT doc EMPTY><!ATTLIST doc a CDATA #IMPLIED>")
+        .build()
+        .unwrap();
+    let document = format!("<doc a='{}'/>", "v".repeat(65_537));
+    let mut service = schema.service();
+    let doc = service.try_open().unwrap();
+    assert_eq!(
+        service.feed_bytes(doc, document.as_bytes()),
+        FeedStatus::Rejected
+    );
+    assert_eq!(
+        render_verdict(&service.finish(doc)),
+        "err E310 - attribute value exceeds the value-length cap at /doc (event 1)"
+    );
+}
+
+#[test]
 fn markup_diagnostics_are_pinned() {
     // The full-markup diagnostic family (attributes, character data,
     // entity references) renders through the same single-line grammar —

@@ -14,7 +14,7 @@
 //! pollute the counter.
 
 use redet::core::matcher::starfree::BatchScratch;
-use redet::schema::{DocEvent, FeedStatus, ServiceLimits, ValidatorPool};
+use redet::schema::{DocEvent, FeedStatus, ServiceLimits};
 use redet::{
     CompiledAnalysis, DocumentValidator, KOccurrenceMatcher, PosStepper, PositionMatcher,
     SchemaBuilder, StarFreeMatcher, Symbol,
@@ -163,19 +163,12 @@ fn steady_state_match_loops_do_not_allocate() {
     );
 
     // --- Sharded batch validation: zero allocation per worker. ---
-    // The pool's workers are `ValidationService`s running `validate_events`
-    // (open → feed → finish) over their shard; after one warming batch each
+    // Four scoped threads each run `ValidationService::validate_events`
+    // (open → feed → finish) over their shard; after warming, each
     // worker's loop must be allocation-free. Thread spawning itself
-    // allocates (per batch, O(workers)), so the steady state is asserted
-    // with the *per-thread* counter inside each worker — exactly the loop
-    // `ValidatorPool::validate_batch` runs.
+    // allocates, so the steady state is asserted with the *per-thread*
+    // counter inside each worker.
     let documents: Vec<Vec<DocEvent>> = (0..8).map(|_| events.clone()).collect();
-    let mut pool = ValidatorPool::new(schema.clone(), 4);
-    let warm = pool.validate_batch(&documents);
-    assert!(
-        warm.iter().all(Result::is_ok),
-        "sanity: documents are valid"
-    );
     let shard = documents.len() / 4;
     std::thread::scope(|scope| {
         for chunk in documents.chunks(shard) {

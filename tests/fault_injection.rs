@@ -22,9 +22,7 @@
 //! allocate nothing in steady state — under its counting allocator.)
 
 use redet::schema::{FeedStatus, ServiceLimits};
-use redet::{
-    Code, DocEvent, DocId, Schema, SchemaBuilder, Symbol, ValidationService, ValidatorPool,
-};
+use redet::{Code, DocEvent, DocId, Schema, SchemaBuilder, Symbol, ValidationService};
 use redet_bench::{book_document_events, events_to_xml};
 use redet_workloads::rng::StdRng;
 use std::fmt::Write as _;
@@ -517,41 +515,4 @@ fn publish_storms_never_panic_and_never_leak() {
     drop(service);
     assert_eq!(Arc::strong_count(&v1), 1);
     assert_eq!(Arc::strong_count(&v2), 1);
-}
-
-#[test]
-fn poisoned_batches_degrade_per_document_under_chaos() {
-    // Random batches seeded with panicking documents: every poison slot
-    // degrades to its own E308 verdict, every other slot matches the
-    // single-service reference, input order is preserved, and the pool
-    // serves the next batch with replaced workers.
-    let schema = book_schema();
-    let poison = vec![DocEvent::Open(Symbol::from_index(0xFFFF))];
-    let prior = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {})); // keep expected panics quiet
-    let mut rng = StdRng::seed_from_u64(0xBAD_D0C);
-    let mut pool = ValidatorPool::with_limits(Arc::clone(&schema), 3, governed());
-    let mut reference = ValidationService::with_limits(Arc::clone(&schema), governed());
-    for _round in 0..20 {
-        let documents: Vec<Vec<DocEvent>> = (0..rng.gen_range(1..24usize))
-            .map(|_| {
-                if rng.gen_bool(0.2) {
-                    poison.clone()
-                } else {
-                    chaos_document(&schema, &mut rng)
-                }
-            })
-            .collect();
-        let results = pool.validate_batch(&documents);
-        assert_eq!(results.len(), documents.len());
-        for (doc, result) in documents.iter().zip(&results) {
-            if doc == &poison {
-                assert_eq!(result.as_ref().unwrap_err().code(), Code::PoisonedDocument);
-            } else {
-                let expected = reference.validate_events(doc);
-                assert_eq!(format!("{expected:?}"), format!("{result:?}"));
-            }
-        }
-    }
-    std::panic::set_hook(prior);
 }

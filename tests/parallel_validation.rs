@@ -7,18 +7,14 @@
 //! * N threads validating a shuffled corpus against one shared
 //!   `Arc<Schema>` produce diagnostics byte-identical to the
 //!   single-threaded validator's, document by document;
-//! * [`ValidatorPool::validate_batch`] — a thin client of the fail-fast
-//!   `ValidationService` — returns the same verdicts in input order, for
-//!   any worker count, each failed document carrying a diagnostic
-//!   byte-identical to the *first* diagnostic the whole-document validator
-//!   reports, and its warmed workers stay deterministic across repeated
-//!   batches.
+//! * a validator owns its schema, so it moves to another thread and back
+//!   and keeps validating.
 //!
 //! The corpus mixes valid generated books with seeded corruptions (swapped
 //! children, truncations, misplaced and unknown elements) so both the
 //! accepting hot path and every diagnostic path run under contention.
 
-use redet::{DocEvent, Schema, SchemaBuilder, ValidatorPool};
+use redet::{DocEvent, Schema, SchemaBuilder};
 use redet_bench::book_document_events;
 use redet_workloads::rng::StdRng;
 use std::sync::Arc;
@@ -41,15 +37,6 @@ fn render(result: &Result<(), Vec<redet::Diagnostic>>) -> String {
             .map(|d| format!("[{:?}] {d}", d.code()))
             .collect::<Vec<_>>()
             .join("\n"),
-    }
-}
-
-/// Renders a fail-fast (service/pool) outcome the same way, so it can be
-/// compared against the *first* diagnostic of a whole-document run.
-fn render_first(result: &Result<(), redet::Diagnostic>) -> String {
-    match result {
-        Ok(()) => "ok".to_owned(),
-        Err(d) => format!("[{:?}] {d}", d.code()),
     }
 }
 
@@ -148,58 +135,6 @@ fn threads_produce_byte_identical_diagnostics() {
         assert_eq!(
             got, want,
             "document {index}: diagnostics differ across threads"
-        );
-    }
-}
-
-#[test]
-fn pool_batches_equal_single_threaded_validation() {
-    let schema = book_schema();
-    let documents = corpus(&schema, 25);
-    // The pool is a thin client of the fail-fast service: each failed
-    // document carries the *first* diagnostic the whole-document validator
-    // would report, byte for byte.
-    let mut reference = schema.validator();
-    let expected: Vec<String> = documents
-        .iter()
-        .map(|doc| match reference.validate_events(doc) {
-            Ok(()) => "ok".to_owned(),
-            Err(diagnostics) => format!("[{:?}] {}", diagnostics[0].code(), diagnostics[0]),
-        })
-        .collect();
-    // And the single-threaded service agrees with that contract already.
-    let mut service = schema.service();
-    for (index, doc) in documents.iter().enumerate() {
-        assert_eq!(
-            render_first(&service.validate_events(doc)),
-            expected[index],
-            "service vs whole-document validator, document {index}"
-        );
-    }
-
-    for workers in [1usize, 2, 3, 8] {
-        let mut pool = ValidatorPool::new(Arc::clone(&schema), workers);
-        // Two batches: the second runs on warmed workers.
-        for round in 0..2 {
-            let results = pool.validate_batch(&documents);
-            assert_eq!(results.len(), documents.len());
-            for (index, result) in results.iter().enumerate() {
-                assert_eq!(
-                    &render_first(result),
-                    &expected[index],
-                    "workers={workers} round={round} document {index}"
-                );
-            }
-        }
-    }
-
-    // The one-shot convenience agrees too.
-    let results = schema.validate_batch(&documents, 3);
-    for (index, result) in results.iter().enumerate() {
-        assert_eq!(
-            &render_first(result),
-            &expected[index],
-            "one-shot document {index}"
         );
     }
 }

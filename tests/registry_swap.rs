@@ -1,25 +1,28 @@
-//! Hot-swap semantics of the schema registry, end to end.
+//! Hot-swap and compile-cache semantics, end to end.
 //!
-//! The contract under test (ISSUE 10's acceptance criteria):
+//! The contract under test:
 //!
 //! * a document opened against schema v1 **finishes validly** after v2 is
-//!   published mid-flight — in-flight handles complete on the pre-publish
-//!   `Arc<Schema>`;
+//!   published mid-flight into its [`SharedSchema`] — in-flight handles
+//!   complete on the pre-publish `Arc<Schema>`;
 //! * a post-publish open **rejects the same document under v2**, with a
 //!   diagnostic byte-identical across event and byte feeds;
-//! * the old artifact is dropped only after its last handle closes;
+//! * the old artifact is dropped only after its last handle closes, when
+//!   the swap goes through a [`SchemaRouter`] route;
 //! * the verdicts stay byte-identical to in-process validation over the
 //!   TCP wire, across a live `P` (publish) request;
 //! * the content-hashed compile cache performs exactly `distinct` pipeline
-//!   compilations for a corpus of repeated schema texts.
+//!   compilations for a corpus of repeated schema texts, and concurrent
+//!   [`Registry::compile_shared`] callers all end on one cached artifact
+//!   per text.
 
 use redet_core::Code;
-use redet_schema::registry::Registry;
+use redet_schema::registry::{Registry, SharedSchema};
 use redet_schema::{DocEvent, Schema, SchemaBuilder, ServiceLimits};
 use redet_server::{wire, SchemaRouter, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -56,9 +59,8 @@ fn v1_doc_events(schema: &Schema) -> Vec<DocEvent> {
 
 #[test]
 fn in_flight_document_finishes_on_pre_publish_schema() {
-    let mut registry = Registry::new();
-    let v1 = registry.publish("doc", V1_DTD).unwrap();
-    let handle = Arc::clone(registry.handle("doc").unwrap());
+    let v1 = build(V1_DTD);
+    let handle = SharedSchema::new(Arc::clone(&v1));
 
     let mut service = handle.load().service();
     let in_flight = service.try_open().unwrap();
@@ -66,7 +68,8 @@ fn in_flight_document_finishes_on_pre_publish_schema() {
     let _ = service.feed_bytes(in_flight, b"<doc><title/>");
 
     // …then v2 is published mid-flight.
-    let v2 = registry.publish("doc", V2_DTD).unwrap();
+    let v2 = build(V2_DTD);
+    assert_eq!(handle.publish(Arc::clone(&v2)), 1);
     assert_eq!(handle.epoch(), 1);
     service.swap_schema(handle.load());
 
@@ -93,20 +96,24 @@ fn in_flight_document_finishes_on_pre_publish_schema() {
 
 #[test]
 fn old_artifact_drops_with_its_last_handle() {
-    let mut registry = Registry::new();
-    let v1 = registry.publish("doc", V1_DTD).unwrap();
-    let handle = Arc::clone(registry.handle("doc").unwrap());
+    let v1 = build(V1_DTD);
+    let mut router = SchemaRouter::new();
+    let route = usize::from(
+        router
+            .register("doc", Arc::clone(&v1), ServiceLimits::default())
+            .unwrap(),
+    );
 
-    let mut service = handle.load().service();
+    let mut service = router.current(route).service();
     let in_flight = service.try_open().unwrap();
     let _ = service.feed_bytes(in_flight, b"<doc>");
 
-    registry.publish("doc", V2_DTD).unwrap();
-    service.swap_schema(handle.load());
+    router.publish("doc", build(V2_DTD)).unwrap();
+    service.swap_schema(router.current(route));
 
     // Holders of v1 while the swapped service still validates the
     // in-flight doc: this test's `v1` binding plus the document's own
-    // validator clone (the registry cache holds one more).
+    // validator clone.
     let held_while_in_flight = Arc::strong_count(&v1);
     let _ = service.feed_bytes(in_flight, b"<title/><author/></doc>");
     assert!(service.finish(in_flight).is_ok());
@@ -127,7 +134,7 @@ fn swap_verdicts_are_byte_identical_over_tcp() {
     // A real server with v1 registered, its registry seeded the way the
     // CLI seeds it.
     let mut registry = Registry::new();
-    let v1 = registry.publish("doc", V1_DTD).unwrap();
+    let v1 = registry.compile(V1_DTD).unwrap();
     let mut router = SchemaRouter::new();
     router
         .register("doc", Arc::clone(&v1), ServiceLimits::default())
@@ -213,8 +220,10 @@ fn corpus_of_256_sources_compiles_exactly_32_times() {
     assert_eq!(sources.len(), 256);
 
     let mut registry = Registry::new();
-    let results = registry.compile_corpus(&sources, 8);
-    assert_eq!(results.len(), 256);
+    let results: Vec<_> = sources
+        .iter()
+        .map(|source| registry.compile(source))
+        .collect();
     for (source, result) in sources.iter().zip(&results) {
         let schema = result.as_ref().expect("corpus schemas compile");
         // Identical text shares one artifact.
@@ -229,7 +238,7 @@ fn corpus_of_256_sources_compiles_exactly_32_times() {
     );
     assert_eq!(stats.misses, 32);
     assert_eq!(stats.cached, 32);
-    // 224 corpus hits + the 256 re-compiles above.
+    // 224 repeated texts in the corpus + the 256 re-compiles above.
     assert_eq!(stats.hits, 224 + 256);
 
     // Every variant's minimal document validates under its schema.
@@ -252,17 +261,41 @@ fn corpus_of_256_sources_compiles_exactly_32_times() {
 
 #[test]
 fn concurrent_corpus_compilation_is_deterministic() {
+    // Four threads compile the same 64-source corpus (16 distinct texts)
+    // through one shared registry, the way connection threads and the
+    // server's cache thread do.
     let sources = redet_workloads::schema_corpus(16, 64, 42);
-    let single = Registry::new().compile_corpus(&sources, 1);
-    let sharded = Registry::new().compile_corpus(&sources, 8);
-    for (a, b) in single.iter().zip(&sharded) {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-        // Same declarations, same interning order, same dispatch — the
-        // artifacts are behaviorally identical whatever the worker count.
-        assert_eq!(a.len(), b.len());
+    let registry = Mutex::new(Registry::new());
+    let start = Barrier::new(4);
+    thread::scope(|scope| {
+        for shard in sources.chunks(sources.len() / 4) {
+            let (registry, start) = (&registry, &start);
+            scope.spawn(move || {
+                start.wait();
+                for source in shard {
+                    assert!(Registry::compile_shared(registry, source).is_ok());
+                }
+            });
+        }
+    });
+    let mut registry = registry.into_inner().unwrap();
+    assert_eq!(registry.stats().cached, 16);
+    for source in &sources {
+        let cached = registry.cached(source).expect("every text stays cached");
+        assert!(Arc::ptr_eq(&cached, &registry.compile(source).unwrap()));
+        // Same declarations, same interning order as a single-threaded
+        // build of the text, whichever thread's compile was cached.
+        let reference = Registry::build(source).unwrap();
+        assert_eq!(cached.len(), reference.len());
         assert_eq!(
-            a.elements().map(|s| a.name(s)).collect::<Vec<_>>(),
-            b.elements().map(|s| b.name(s)).collect::<Vec<_>>()
+            cached
+                .elements()
+                .map(|s| cached.name(s))
+                .collect::<Vec<_>>(),
+            reference
+                .elements()
+                .map(|s| reference.name(s))
+                .collect::<Vec<_>>()
         );
     }
 }
