@@ -448,11 +448,9 @@ fn bench_tokenizer_throughput(h: &mut Harness) {
 /// cap configured (none firing) and the admission cap exactly at the fleet
 /// size — the handle-capacity edge — so the gate pins the limit bookkeeping
 /// at near-zero overhead. `rejected_feed` measures the fail-fast early-out:
-/// the whole chunk schedule aimed at an already-rejected handle.
-/// `tick_sweep_1k` opens 1k idle handles (128 in fast mode) and measures
-/// one full sweep plus the tombstone drain. All series share the
-/// corpus-size param so the regression gate ratios each of them against
-/// `feed_unlimited`.
+/// the whole chunk schedule aimed at an already-rejected handle. All
+/// series share the corpus-size param so the regression gate ratios each
+/// of them against `feed_unlimited`.
 fn bench_overload_serving(h: &mut Harness) {
     use redet_bench::book_document_events;
     use redet_schema::{DocEvent, DocId, FeedStatus, SchemaBuilder, ServiceLimits};
@@ -462,11 +460,7 @@ fn bench_overload_serving(h: &mut Harness) {
         .parse_dtd(redet_workloads::BOOK_DTD)
         .build()
         .expect("BOOK_DTD compiles");
-    let (n_docs, chapters, idle) = if h.is_fast() {
-        (16, 2, 128usize)
-    } else {
-        (64, 4, 1024usize)
-    };
+    let (n_docs, chapters) = if h.is_fast() { (16, 2) } else { (64, 4) };
     let documents: Vec<Vec<DocEvent>> = (0..n_docs)
         .map(|i| book_document_events(&schema, chapters, 0xE15 ^ i as u64))
         .collect();
@@ -548,22 +542,6 @@ fn bench_overload_serving(h: &mut Harness) {
         chunks
     });
     governed.close(rejected);
-
-    // One sweep over `idle` idle handles plus the tombstone drain. The
-    // param stays the corpus size so the gate ratios this series too; the
-    // sweep width is fixed by `idle` (the series name carries it).
-    let mut sweeper = schema.service_with_limits(ServiceLimits::default().with_idle_budget(0));
-    let mut clock = 0u64;
-    h.bench("tick_sweep_1k", n_docs, || {
-        handles.clear();
-        handles.extend((0..idle).map(|_| sweeper.open()));
-        clock += 1;
-        let swept = sweeper.tick(clock);
-        for handle in handles.drain(..) {
-            sweeper.close(handle);
-        }
-        swept
-    });
 }
 
 /// E16: full markup coverage — the attribute/text/entity surface end to
@@ -729,9 +707,9 @@ fn bench_markup_coverage(h: &mut Harness) {
 
 /// E17: the schema registry — cache-hit opens vs direct validator
 /// construction (gated), corpus compilation cold vs cache-hot, and
-/// hot-swap latency under in-flight load (both measured, ungated: their
-/// cost is pipeline- and lock-bound, not comparable across machines as a
-/// ratio to validation work).
+/// hot-swap latency (both measured, ungated: their cost is pipeline- and
+/// lock-bound, not comparable across machines as a ratio to validation
+/// work).
 fn bench_schema_registry(h: &mut Harness) {
     use redet_schema::registry::{Registry, SharedSchema};
     use redet_schema::{Schema, SchemaBuilder};
@@ -803,9 +781,11 @@ fn bench_schema_registry(h: &mut Harness) {
         registry.stats().compiled
     });
 
-    // Hot-swap latency with `inflight` half-fed documents open: one
-    // `SharedSchema::publish` plus the service rebinding (spare-list
-    // flush) per iteration. In-flight handles are untouched by design.
+    // Hot-swap latency: one `SharedSchema::publish` plus the `load` a
+    // server connection compares its document's schema against before
+    // each request. Documents in flight hold their own `Arc` and are
+    // untouched by design; the param stays `inflight` so the series keeps
+    // its committed key.
     let v1: Arc<Schema> = SchemaBuilder::new()
         .parse_dtd(
             "<!ELEMENT doc (title, author)><!ELEMENT title (#PCDATA)><!ELEMENT author (#PCDATA)>",
@@ -817,19 +797,13 @@ fn bench_schema_registry(h: &mut Harness) {
         .build()
         .expect("v2 compiles");
     let shared = SharedSchema::new(Arc::clone(&v1));
-    let mut service = v1.service();
-    for _ in 0..inflight {
-        let doc = service.open();
-        let _ = service.feed_bytes(doc, b"<doc><title/>");
-    }
     let mut flip = false;
     h.throughput(1);
     h.bench("swap_inflight", inflight, || {
         flip = !flip;
         let next = if flip { &v2 } else { &v1 };
         shared.publish(Arc::clone(next));
-        service.swap_schema(shared.load());
-        shared.epoch()
+        shared.load()
     });
 }
 

@@ -25,8 +25,9 @@
 //! serving (the bulk-scanning tokenizer keeps bytes first-class). E14
 //! ratio-gates the bulk tokenizer against its byte-at-a-time scalar oracle
 //! so the SWAR scanner cannot quietly regress toward scalar speed. E15
-//! ratio-gates the resource-governance series against ungoverned serving,
-//! with an absolute cap ([`E15_GOVERNED_MAX_RATIO`]) pinning the limit
+//! ratio-gates the resource-governance series (`feed_governed` and the
+//! `rejected_feed` early-out) against ungoverned serving, with an absolute
+//! cap ([`E15_GOVERNED_MAX_RATIO`]) pinning the limit
 //! bookkeeping (depth/byte/event accounting plus admission checks at the
 //! handle-capacity edge) to near-zero overhead. E16 ratio-gates the
 //! full-markup serving series (attribute/text events, attribute-dense tag
@@ -35,8 +36,9 @@
 //! registry-handle opens (`SharedSchema` load + validator) against
 //! direct validator construction, with an absolute cap
 //! ([`E17_HANDLE_OPEN_MAX_RATIO`]) bounding the read-lock + `Arc` clone
-//! per open to tens of nanoseconds; its rehash, compile, and swap series
-//! are measured but not gated (they live at their own params).
+//! per open to tens of nanoseconds; its rehash, compile, and swap
+//! (`SharedSchema` publish + load) series are measured but not gated
+//! (they live at their own params).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;

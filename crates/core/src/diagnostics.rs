@@ -101,11 +101,11 @@ pub enum Code {
     /// The service refused to admit a new document: the configured
     /// in-flight handle cap (`ServiceLimits::max_in_flight`) is reached.
     ServiceOverloaded,
-    /// An in-flight document sat idle past the configured idle budget and
-    /// was swept by `ValidationService::tick`.
+    /// An in-flight document sat idle past the configured idle budget
+    /// (`ServiceLimits::idle_budget`) and was ended by `Document::time_out`.
     IdleTimeout,
-    /// An operation used a document handle that was already finished,
-    /// closed, or swept and recycled (a stale `DocId`).
+    /// An operation used a document handle that was already finished or
+    /// closed (a stale `DocId`).
     StaleHandle,
     /// A network peer violated the line-oriented wire protocol (bad or
     /// oversized header, input ending mid-header, a disabled command).

@@ -23,12 +23,14 @@
 //!   cursor frames — allocation-free in steady state, hash-free when
 //!   elements are pre-interned to [`Symbol`]s via [`Schema::lookup`], and
 //!   `Send` (it owns its schema `Arc`);
-//! * [`ValidationService`] is the connection-oriented surface: `open()`
-//!   hands out resumable [`DocId`] handles, `feed`/`feed_bytes` advance any
-//!   number of interleaved in-flight documents by events *or raw bytes*
-//!   (chunk boundaries anywhere, even mid-tag) with fail-fast rejection,
-//!   `finish` checks end-of-document acceptance — all buffers recycled
-//!   through a slab;
+//! * [`Document`] is one resumable document stream: `feed`/`feed_bytes`
+//!   advance it by events *or raw bytes* (chunk boundaries anywhere, even
+//!   mid-tag) with fail-fast rejection under the [`ServiceLimits`] caps,
+//!   `finish` checks end-of-document acceptance and keeps the buffers for
+//!   the next document, `time_out` ends a stalled one with `E306`;
+//! * [`ValidationService`] is a handle table over documents: `open()`
+//!   hands out resumable [`DocId`] handles to any number of interleaved
+//!   in-flight documents, with an admission cap;
 //! * [`tokenizer`] — the bulk-scanning byte scanner behind `feed_bytes`:
 //!   SWAR delimiter search ([`redet_core::bytescan`]) consumes whole
 //!   character-data/comment/attribute runs per step and borrows tag names
@@ -72,7 +74,9 @@ pub mod tokenizer;
 mod validator;
 
 pub use registry::{content_hash, Provenance, Registry, RegistryStats, SharedSchema};
-pub use service::{in_flight_refusal, DocId, FeedStatus, ServiceLimits, ValidationService};
+pub use service::{
+    in_flight_refusal, DocId, Document, FeedStatus, ServiceLimits, ValidationService,
+};
 pub use tokenizer::{Tag, Tokenizer};
 pub use validator::{DocEvent, DocumentValidator};
 
@@ -489,8 +493,7 @@ impl Schema {
     }
 
     /// Opens a [`ValidationService`] governed by `limits`: per-document
-    /// depth/byte/event/name caps, service-wide admission control, and an
-    /// idle budget for [`ValidationService::tick`] sweeps. See
+    /// depth/byte/event/name caps and service-wide admission control. See
     /// [`ServiceLimits`].
     #[must_use]
     pub fn service_with_limits(self: &Arc<Self>, limits: ServiceLimits) -> ValidationService {

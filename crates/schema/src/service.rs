@@ -1,30 +1,31 @@
-//! Connection-oriented validation: many in-flight documents, fed in any
-//! interleaving, over one shared [`Schema`] — with resource governance.
+//! Streaming validation of raw documents with resource governance: one
+//! [`Document`] per stream, or many interleaved ones behind the handles of
+//! a [`ValidationService`].
 //!
-//! A real server does not see whole documents — it sees thousands of
-//! connections delivering chunks in arbitrary order. The per-event state of
-//! the streaming matchers is tiny (one `PosId` frame per open element), so
-//! keeping a document *suspended* between chunks is cheap; this module is
-//! the surface that exploits it:
+//! A real server does not see whole documents — it sees connections
+//! delivering chunks in arbitrary order. The per-event state of the
+//! streaming matchers is tiny (one `PosId` frame per open element), so a
+//! document *suspended* between chunks is fully described by one
+//! [`DocumentValidator`] plus one byte [`Tokenizer`]. That pair is a
+//! [`Document`]:
 //!
-//! * [`ValidationService::open`] allocates a lightweight in-flight document
-//!   — a slab slot holding a recycled [`DocumentValidator`] (frame stack +
-//!   side stacks) and a byte [`Tokenizer`] — and returns a generation-checked
-//!   [`DocId`] handle; [`ValidationService::try_open`] is the
-//!   backpressure-aware form that refuses admission past the configured
-//!   in-flight cap instead of panicking;
-//! * [`ValidationService::feed`] advances any handle by any number of
-//!   pre-interned [`DocEvent`]s; [`ValidationService::feed_bytes`] accepts
-//!   raw bytes instead (tag soup, chunk boundaries anywhere — including
-//!   mid-tag) and tokenizes them on the fly;
-//! * feeding **fails fast**: at the first diagnostic the handle flips to
+//! * [`Document::feed`] advances it by pre-interned [`DocEvent`]s;
+//!   [`Document::feed_bytes`] accepts raw bytes instead (tag soup, chunk
+//!   boundaries anywhere — including mid-tag) and tokenizes them on the
+//!   fly;
+//! * feeding **fails fast**: at the first diagnostic the document flips to
 //!   [`FeedStatus::Rejected`], retains that earliest diagnostic — byte-for-
 //!   byte the one a whole-document [`DocumentValidator`] run would report
-//!   first — and stops consuming work until it is finished or closed;
-//! * [`ValidationService::finish`] checks end-of-document acceptance and
-//!   recycles the slot's buffers; [`ValidationService::close`] abandons a
-//!   document without the end check (and is idempotent: closing an
-//!   already-released handle is a no-op).
+//!   first — and stops consuming work until it is finished;
+//! * [`Document::finish`] checks end-of-document acceptance, returns the
+//!   verdict and leaves the document ready for the next one with its
+//!   buffers kept; [`Document::time_out`] ends a document that went quiet
+//!   with an idle-timeout verdict instead.
+//!
+//! [`ValidationService`] is a handle table over documents: [`DocId`]s from
+//! [`ValidationService::open`] address any number of interleaved in-flight
+//! documents over one schema, with a service-wide admission cap
+//! ([`ValidationService::try_open`]).
 //!
 //! # Resource governance
 //!
@@ -37,25 +38,25 @@
 //!   lowered per config);
 //! * **service-wide**: a maximum number of in-flight handles, enforced at
 //!   admission ([`ValidationService::try_open`]);
-//! * **time**: a logical idle budget — the front end calls
-//!   [`ValidationService::tick`] from any timer source, and handles idle
-//!   past the budget are swept to `Rejected` with an idle-timeout
-//!   diagnostic while their buffers are recycled immediately.
+//! * **time**: an idle budget in ticks of the caller's clock — a front end
+//!   whose read times out after the budget ends the document with
+//!   [`Document::time_out`].
 //!
 //! Every violation is a stable `E3xx` diagnostic (see [`redet_core::Code`])
 //! recorded at a deterministic event index, so a limit rejection is
 //! **byte-identical under every event/byte chunking** — the same contract
 //! all schema rejections already honor. Stale handles (used after
-//! `finish`/`close`, or after their slot was recycled) no longer panic:
-//! feeding one reports [`FeedStatus::Stale`] and finishing one returns a
+//! `finish`/`close`) do not panic: feeding one reports
+//! [`FeedStatus::Stale`] and finishing one returns a
 //! [`redet_core::Code::StaleHandle`] diagnostic. Only cross-service handle
-//! mixups — a programming error, not a traffic pattern — still panic.
+//! mixups — a programming error, not a traffic pattern — panic.
 //!
-//! Everything is recycled through the slab and a spare list, so a warmed
-//! service opens, feeds and finishes documents with **zero steady-state
-//! allocation** on the valid path — and its limit checks, no-op `tick`
-//! sweeps and rejected-handle feeds are allocation-free too (enforced by
-//! the repository's counting-allocator regression test).
+//! A finished document keeps its buffers, and a closed handle's slot keeps
+//! its document for the next open, so a warmed [`Document`] or service
+//! validates documents with **zero steady-state allocation** on the valid
+//! path — and its limit checks and rejected-document feeds are
+//! allocation-free too (enforced by the repository's counting-allocator
+//! regression test).
 
 use crate::tokenizer::{
     is_entity_error, Tag, Tokenizer, ATTR_TOO_LONG, NAME_TOO_LONG, VALUE_TOO_LONG,
@@ -73,8 +74,8 @@ static NEXT_SERVICE_ID: AtomicU32 = AtomicU32::new(0);
 /// A handle to one in-flight document of a [`ValidationService`].
 ///
 /// Handles are generation-checked: a `DocId` used after `finish`/`close`
-/// (or after an idle sweep recycled its slot) is detected as **stale**
-/// instead of silently touching a recycled slot — feeding it reports
+/// (or after its slot was reused) is detected as **stale** instead of
+/// silently touching another document — feeding it reports
 /// [`FeedStatus::Stale`], finishing it returns a
 /// [`redet_core::Code::StaleHandle`] diagnostic, closing it is a no-op.
 /// Only a handle from a *different* service panics.
@@ -84,7 +85,7 @@ pub struct DocId {
     /// The issuing service's identity (see [`NEXT_SERVICE_ID`]).
     service: u32,
     index: u32,
-    /// The slot's recycling generation (staleness detection).
+    /// The slot's generation at open (staleness detection).
     generation: u32,
 }
 
@@ -111,24 +112,24 @@ pub enum FeedStatus {
     /// event has arrived yet) — the document needs more input.
     NeedMore,
     /// Everything fed so far is valid and every opened element has been
-    /// closed: [`ValidationService::finish`] would succeed right now.
+    /// closed: [`Document::finish`] would succeed right now.
     Accepted,
     /// The document is invalid. The earliest diagnostic is retained (see
-    /// [`ValidationService::diagnostic`]) until the handle is finished or
-    /// closed; further feeds are no-ops — a rejected handle consumes no
-    /// more matcher work.
+    /// [`Document::diagnostic`]) until the document is finished; further
+    /// feeds are no-ops — a rejected document consumes no more matcher
+    /// work.
     Rejected,
-    /// The handle is stale: its document was already finished or closed
-    /// (or its slot swept and recycled). Nothing was fed. Use
-    /// [`ValidationService::finish`] on a stale handle to obtain the
-    /// [`redet_core::Code::StaleHandle`] diagnostic as an error value.
+    /// The handle is stale: its document was already finished or closed.
+    /// Nothing was fed. Use [`ValidationService::finish`] on a stale handle
+    /// to obtain the [`redet_core::Code::StaleHandle`] diagnostic as an
+    /// error value.
     Stale,
 }
 
-/// Resource-governance configuration of a [`ValidationService`]. The
-/// default is **ungoverned** — every cap unset — so existing single-tenant
-/// uses pay nothing; a front end serving untrusted traffic configures the
-/// caps it needs:
+/// Resource-governance configuration of a [`Document`] or a
+/// [`ValidationService`]. The default is **ungoverned** — every cap unset
+/// — so existing single-tenant uses pay nothing; a front end serving
+/// untrusted traffic configures the caps it needs:
 ///
 /// ```
 /// use redet_schema::{FeedStatus, SchemaBuilder, ServiceLimits};
@@ -181,7 +182,7 @@ impl ServiceLimits {
     }
 
     /// Caps how many raw bytes any one document may be fed through
-    /// [`ValidationService::feed_bytes`]. The first byte past the budget is
+    /// [`Document::feed_bytes`]. The first byte past the budget is
     /// a [`Code::ByteLimitExceeded`] (`E302`) rejection — at the same point
     /// whatever the chunk boundaries.
     pub fn with_max_bytes(mut self, bytes: u64) -> Self {
@@ -209,17 +210,16 @@ impl ServiceLimits {
 
     /// Caps how many handles may be in flight at once. Admission past the
     /// cap is refused by [`ValidationService::try_open`] with a
-    /// [`Code::ServiceOverloaded`] (`E305`) diagnostic. Swept handles
-    /// count until they are finished or closed.
+    /// [`Code::ServiceOverloaded`] (`E305`) diagnostic.
     pub fn with_max_in_flight(mut self, handles: u32) -> Self {
         self.max_in_flight = Some(handles);
         self
     }
 
-    /// Enables idle sweeping: a handle whose last activity is more than
-    /// `ticks` logical ticks in the past when [`ValidationService::tick`]
-    /// runs is swept to `Rejected` with a [`Code::IdleTimeout`] (`E306`)
-    /// diagnostic and its buffers are recycled.
+    /// Sets the idle budget: a front end ends a document that received
+    /// nothing for more than `ticks` ticks of its clock with
+    /// [`Document::time_out`], a [`Code::IdleTimeout`] (`E306`) rejection
+    /// that names the budget.
     pub fn with_idle_budget(mut self, ticks: u64) -> Self {
         self.idle_budget = Some(ticks);
         self
@@ -250,52 +250,271 @@ impl ServiceLimits {
         self.max_in_flight
     }
 
-    /// The configured idle budget in logical ticks, if any.
+    /// The configured idle budget in ticks, if any.
     pub fn idle_budget(&self) -> Option<u64> {
         self.idle_budget
     }
 }
 
-/// One in-flight document: the validator state, the byte-level scanner,
-/// the retained rejection, and its resource-accounting counters. Recycled
-/// whole through the spare list.
-struct InFlight {
+/// One document in flight over a [`Schema`]: the validator state, the byte
+/// scanner, the retained rejection and the byte count, governed by the
+/// per-document caps of a [`ServiceLimits`]. See the module docs.
+///
+/// A `Document` validates one document at a time and is reused for the
+/// next: [`Document::finish`] (or [`Document::time_out`]) returns the
+/// verdict and resets it with its warmed buffers kept.
+///
+/// ```
+/// use redet_schema::{Document, FeedStatus, SchemaBuilder, ServiceLimits};
+///
+/// let schema = SchemaBuilder::new()
+///     .element("pair", "(left, right)")
+///     .element_empty("left")
+///     .element_empty("right")
+///     .build()
+///     .unwrap();
+/// let mut doc = Document::new(schema, ServiceLimits::default().with_idle_budget(3));
+///
+/// // Chunk boundaries fall anywhere, even mid-tag.
+/// assert_eq!(doc.feed_bytes(b"<pair><le"), FeedStatus::NeedMore);
+/// assert_eq!(doc.feed_bytes(b"ft/><right/></pair>"), FeedStatus::Accepted);
+/// assert!(doc.finish().is_ok());
+///
+/// // The next document reuses the buffers; a stalled one times out.
+/// assert_eq!(doc.feed_bytes(b"<pair>"), FeedStatus::NeedMore);
+/// assert_eq!(doc.time_out().code(), redet_core::Code::IdleTimeout);
+/// ```
+#[derive(Debug)]
+pub struct Document {
     validator: DocumentValidator,
     tokenizer: Tokenizer,
+    limits: ServiceLimits,
+    /// The earliest diagnostic, once the document is rejected.
     rejected: Option<Diagnostic>,
     /// Raw bytes consumed so far, charged against `ServiceLimits::max_bytes`.
     bytes_fed: u64,
-    /// The service's logical clock value at the last open/feed — the idle
-    /// sweep compares it against `ValidationService::tick`'s `now`.
-    last_activity: u64,
 }
 
-/// The state a generation-valid slot holds for its document.
-// Slots are sized for `Live` regardless (the slab keeps in-flight state
-// inline so `feed` pays no pointer chase); the small `Swept` variant only
-// occupies one transiently, between the sweep and the caller's close.
-#[allow(clippy::large_enum_variant)]
-enum DocState {
-    /// A live in-flight document.
-    Live(InFlight),
-    /// Swept by the idle governor: the buffers were recycled immediately,
-    /// only the cause is retained until the caller finishes or closes the
-    /// handle (so `diagnostic`/`finish` still explain the rejection).
-    Swept(Diagnostic),
+impl Document {
+    /// Creates an empty document over `schema`, governed by the
+    /// per-document caps of `limits` (the in-flight cap is a
+    /// [`ValidationService`] matter and is ignored here).
+    #[must_use]
+    pub fn new(schema: Arc<Schema>, limits: ServiceLimits) -> Self {
+        let mut validator = DocumentValidator::new(schema);
+        validator.set_limits(
+            limits.max_depth.map_or(usize::MAX, |d| d as usize),
+            limits
+                .max_events
+                .map_or(usize::MAX, |e| usize::try_from(e).unwrap_or(usize::MAX)),
+        );
+        let mut tokenizer = Tokenizer::default();
+        tokenizer.set_name_limit(
+            limits
+                .max_name_len
+                .map_or(Tokenizer::MAX_NAME_LEN, |n| n as usize),
+        );
+        Document {
+            validator,
+            tokenizer,
+            limits,
+            rejected: None,
+            bytes_fed: 0,
+        }
+    }
+
+    /// The schema this document is validated against.
+    pub fn schema(&self) -> &Schema {
+        self.validator.schema()
+    }
+
+    /// The current status, without feeding anything: `Rejected` once a
+    /// diagnostic is retained, `Accepted` when every opened element is
+    /// closed, `NeedMore` otherwise.
+    pub fn status(&self) -> FeedStatus {
+        if self.rejected.is_some() {
+            FeedStatus::Rejected
+        } else if self.validator.depth() == 0
+            && self.validator.events() > 0
+            && self.tokenizer.is_idle()
+        {
+            FeedStatus::Accepted
+        } else {
+            FeedStatus::NeedMore
+        }
+    }
+
+    /// The retained diagnostic of a rejected document, if any.
+    pub fn diagnostic(&self) -> Option<&Diagnostic> {
+        self.rejected.as_ref()
+    }
+
+    /// Number of currently open elements.
+    pub fn depth(&self) -> usize {
+        self.validator.depth()
+    }
+
+    /// Advances the document by any number of pre-interned events. Feeding
+    /// stops at the first diagnostic: the document flips to
+    /// [`FeedStatus::Rejected`], retains that diagnostic, and ignores the
+    /// rest of this chunk and all later feeds.
+    #[must_use = "a rejected document should stop being fed"]
+    pub fn feed(&mut self, events: &[DocEvent]) -> FeedStatus {
+        if self.rejected.is_some() {
+            return FeedStatus::Rejected;
+        }
+        for &event in events {
+            match event {
+                DocEvent::Open(sym) => self.validator.start_element_symbol(sym),
+                DocEvent::Close => self.validator.end_element(),
+                DocEvent::Attr(sym) => self.validator.attribute(sym),
+                DocEvent::Text => self.validator.text(),
+            }
+            if !self.validator.is_clean() {
+                self.rejected = self.validator.take_first_diagnostic();
+                return FeedStatus::Rejected;
+            }
+        }
+        self.status()
+    }
+
+    /// Advances the document by a chunk of raw bytes, tokenizing full
+    /// markup on the fly. Chunk boundaries may fall anywhere — mid-name,
+    /// mid-attribute-value, mid-text, mid-comment; the scanner state lives
+    /// in the document. Element and attribute names are resolved against
+    /// the schema per tag, attribute values and character data (with the
+    /// predefined entity and character references decoded) are checked
+    /// against the schema's `<!ATTLIST>` tables and mixed-content rules;
+    /// comments, PIs and doctypes are skipped. Fails fast exactly like
+    /// [`Document::feed`], with unparsable markup reported as a
+    /// [`redet_core::Code::MalformedMarkup`] diagnostic and unknown entity
+    /// references as [`redet_core::Code::UnknownEntity`]. When a byte
+    /// budget is configured, bytes past it are never scanned: the chunk is
+    /// truncated at the budget and the violation fires at the same point
+    /// under every chunking.
+    #[must_use = "a rejected document should stop being fed"]
+    pub fn feed_bytes(&mut self, bytes: &[u8]) -> FeedStatus {
+        if self.rejected.is_some() {
+            return FeedStatus::Rejected;
+        }
+        let max_bytes = self.limits.max_bytes;
+        // Truncate the chunk at the byte budget, so the violation point —
+        // and therefore the diagnostic — is chunking-independent.
+        let (head, overflow) = match max_bytes {
+            Some(max) => {
+                let remaining = max.saturating_sub(self.bytes_fed);
+                if bytes.len() as u64 > remaining {
+                    (&bytes[..remaining as usize], true)
+                } else {
+                    (bytes, false)
+                }
+            }
+            None => (bytes, false),
+        };
+        let validator = &mut self.validator;
+        let clean = self.tokenizer.feed(head, &mut |tag| {
+            match tag {
+                Tag::Open(name) => validator.start_element_bytes(name),
+                Tag::Attr { name, .. } => validator.attribute_bytes(name),
+                Tag::SelfClose => validator.end_element(),
+                // XML well-formedness: the end tag must name the innermost
+                // open element. (Event-level feeding has no names on close
+                // events, so only bytes pay this.)
+                Tag::Close(name) => validator.close_element_bytes(name),
+                Tag::Text(segment) => validator.text_segment(segment),
+                // The tokenizer's length caps are resource limits, not
+                // grammar errors: report them under the E3xx family.
+                Tag::Error(message) if message == NAME_TOO_LONG || message == ATTR_TOO_LONG => {
+                    validator.report_limit(Code::NameLimitExceeded, message.to_owned());
+                }
+                Tag::Error(message) if message == VALUE_TOO_LONG => {
+                    validator.report_limit(Code::ValueLimitExceeded, message.to_owned());
+                }
+                // Unknown/invalid entity references are markup-level `E2xx`
+                // diagnostics with their own code.
+                Tag::Error(message) if is_entity_error(message) => {
+                    validator.report_limit(Code::UnknownEntity, message.to_owned());
+                }
+                Tag::Error(message) => validator.report_markup(message.to_owned()),
+            }
+            validator.is_clean()
+        });
+        self.bytes_fed += head.len() as u64;
+        if !clean {
+            self.rejected = self.validator.take_first_diagnostic();
+            return FeedStatus::Rejected;
+        }
+        if overflow {
+            self.validator.report_limit(
+                Code::ByteLimitExceeded,
+                format!(
+                    "document exceeded the byte budget of {} byte(s)",
+                    max_bytes.unwrap_or(u64::MAX)
+                ),
+            );
+            self.rejected = self.validator.take_first_diagnostic();
+            return FeedStatus::Rejected;
+        }
+        self.status()
+    }
+
+    /// Ends the document: checks end-of-document acceptance (every element
+    /// closed, no markup left open) and resets the document for the next
+    /// one, keeping its buffers. Returns the retained diagnostic for a
+    /// rejected document — byte-identical to the *first* diagnostic a
+    /// whole-document [`DocumentValidator`] run over the same events would
+    /// report.
+    #[must_use = "the validation verdict is the point of finish()"]
+    pub fn finish(&mut self) -> Result<(), Diagnostic> {
+        if self.rejected.is_none() && !self.tokenizer.is_idle() {
+            self.validator
+                .report_markup("byte stream ended inside markup".to_owned());
+            self.rejected = self.validator.take_first_diagnostic();
+        }
+        let end = self.validator.finish();
+        self.tokenizer.reset();
+        self.bytes_fed = 0;
+        match self.rejected.take() {
+            Some(diagnostic) => Err(diagnostic),
+            // Only end-of-document diagnostics can be pending here —
+            // anything earlier would have rejected the document.
+            None => end.map_err(|mut diagnostics| diagnostics.remove(0)),
+        }
+    }
+
+    /// Ends a document whose input went quiet: records a
+    /// [`Code::IdleTimeout`] (`E306`) diagnostic naming the configured idle
+    /// budget at the current event — unless the document was already
+    /// rejected, whose earlier diagnostic is kept — and resets like
+    /// [`Document::finish`]. Returns the verdict's diagnostic.
+    pub fn time_out(&mut self) -> Diagnostic {
+        if self.rejected.is_none() {
+            let budget = self.limits.idle_budget.unwrap_or(0);
+            self.validator.report_limit(
+                Code::IdleTimeout,
+                format!("document sat idle past the idle budget of {budget} tick(s)"),
+            );
+            self.rejected = self.validator.take_first_diagnostic();
+        }
+        self.finish().expect_err("a timed-out document is rejected")
+    }
 }
 
-/// One slab slot. `generation` (wrapping) is bumped on every free, so
-/// stale [`DocId`]s are detected instead of resolving to a recycled
-/// document. A handle can only alias after exactly 2^32 reuses of its slot
-/// while it is still being held — a caller sitting on a dead handle across
-/// that much churn is already outside every serving contract.
+/// One handle-table slot. Its document is reset whenever the slot is free,
+/// so the next open reuses the warmed buffers. `generation` (wrapping) is
+/// odd while the slot is open and is bumped on every open and every
+/// release, so a [`DocId`] matches its slot only until the document is
+/// finished or closed. A handle can only alias after 2^31 reuses of its
+/// slot while it is still being held — a caller sitting on a dead handle
+/// across that much churn is already outside every serving contract.
 struct Slot {
     generation: u32,
-    doc: Option<DocState>,
+    doc: Document,
 }
 
-/// A connection-oriented validation front end over one [`Schema`]; see the
-/// module docs.
+/// A connection-oriented validation front end over one [`Schema`]: a
+/// handle table of interleaved in-flight [`Document`]s; see the module
+/// docs.
 ///
 /// ```
 /// use redet_schema::{FeedStatus, SchemaBuilder};
@@ -327,15 +546,9 @@ pub struct ValidationService {
     id: u32,
     schema: Arc<Schema>,
     limits: ServiceLimits,
-    /// The logical clock: the largest `now` any [`ValidationService::tick`]
-    /// call has reported. Feeds stamp it into their handle's
-    /// `last_activity`.
-    now: u64,
     slots: Vec<Slot>,
-    /// Indices of empty slots, reused LIFO (warm slots first).
+    /// Indices of free slots, reused LIFO (warm slots first).
     free: Vec<u32>,
-    /// Warmed per-document state of closed handles, reused by `open`.
-    spare: Vec<InFlight>,
 }
 
 impl ValidationService {
@@ -354,10 +567,8 @@ impl ValidationService {
             id: NEXT_SERVICE_ID.fetch_add(1, Ordering::Relaxed),
             schema,
             limits,
-            now: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            spare: Vec::new(),
         }
     }
 
@@ -366,55 +577,14 @@ impl ValidationService {
         &self.schema
     }
 
-    /// Atomically replaces the schema bound by *future* opens — the
-    /// service-level half of a registry hot-swap (see
-    /// `redet_schema::registry`).
-    ///
-    /// Semantics:
-    ///
-    /// * documents already in flight keep validating against the
-    ///   [`Arc<Schema>`] they opened under (each handle's validator owns
-    ///   its own clone of the `Arc`), so a swap never changes a verdict
-    ///   mid-document;
-    /// * every subsequent [`ValidationService::try_open`] binds the new
-    ///   schema;
-    /// * the old artifact is dropped once the last in-flight handle over
-    ///   it is finished or closed (and the spare list below is cleared).
-    ///
-    /// Recycled validator buffers are schema-bound, so the spare list is
-    /// discarded on swap and handles finishing under the old schema are
-    /// not recycled — the first opens after a swap re-allocate, then the
-    /// service warms up again. Swapping in the `Arc` already bound is a
-    /// no-op.
-    pub fn swap_schema(&mut self, schema: Arc<Schema>) {
-        if Arc::ptr_eq(&self.schema, &schema) {
-            return;
-        }
-        self.schema = schema;
-        // Spare validators still hold the superseded artifact; recycling
-        // one into a new document would validate against the old schema.
-        self.spare.clear();
-    }
-
-    /// Returns a document's buffers to the spare list — unless its
-    /// validator is bound to a superseded schema (the document outlived a
-    /// [`ValidationService::swap_schema`]), in which case the buffers are
-    /// dropped and the old artifact can finally be released.
-    fn recycle(&mut self, flight: InFlight) {
-        if std::ptr::eq(flight.validator.schema(), Arc::as_ptr(&self.schema)) {
-            self.spare.push(flight);
-        }
-    }
-
     /// The resource-governance configuration this service enforces.
     pub fn limits(&self) -> ServiceLimits {
         self.limits
     }
 
-    /// Number of currently open documents — live handles plus swept
-    /// tombstones whose cause has not been collected yet. Slab hygiene is
-    /// observable here: every `open` is balanced by exactly one
-    /// `finish`/`close`, after which this returns to its prior value.
+    /// Number of currently open documents. Slab hygiene is observable
+    /// here: every `open` is balanced by exactly one `finish`/`close`,
+    /// after which this returns to its prior value.
     pub fn in_flight(&self) -> usize {
         self.slots.len() - self.free.len()
     }
@@ -426,9 +596,9 @@ impl ValidationService {
         self.slots.len()
     }
 
-    /// Opens a new in-flight document and returns its handle. Buffers of
-    /// previously closed documents are recycled, so a warmed service opens
-    /// without allocating.
+    /// Opens a new in-flight document and returns its handle. Free slots
+    /// keep their document's buffers, so a warmed service opens without
+    /// allocating.
     ///
     /// # Panics
     /// Panics if the service is at its configured in-flight cap — callers
@@ -449,38 +619,18 @@ impl ValidationService {
                 return Err(in_flight_refusal(max));
             }
         }
-        let mut flight = self.spare.pop().unwrap_or_else(|| InFlight {
-            validator: DocumentValidator::new(Arc::clone(&self.schema)),
-            tokenizer: Tokenizer::default(),
-            rejected: None,
-            bytes_fed: 0,
-            last_activity: 0,
-        });
-        flight.validator.set_limits(
-            self.limits.max_depth.map_or(usize::MAX, |d| d as usize),
-            self.limits
-                .max_events
-                .map_or(usize::MAX, |e| usize::try_from(e).unwrap_or(usize::MAX)),
-        );
-        flight.tokenizer.set_name_limit(
-            self.limits
-                .max_name_len
-                .map_or(Tokenizer::MAX_NAME_LEN, |n| n as usize),
-        );
-        flight.bytes_fed = 0;
-        flight.last_activity = self.now;
         let index = match self.free.pop() {
             Some(index) => index,
             None => {
                 self.slots.push(Slot {
                     generation: 0,
-                    doc: None,
+                    doc: Document::new(Arc::clone(&self.schema), self.limits),
                 });
                 (self.slots.len() - 1) as u32
             }
         };
         let slot = &mut self.slots[index as usize];
-        slot.doc = Some(DocState::Live(flight));
+        slot.generation = slot.generation.wrapping_add(1);
         Ok(DocId {
             service: self.id,
             index,
@@ -488,316 +638,74 @@ impl ValidationService {
         })
     }
 
-    /// Advances a document by any number of pre-interned events. Feeding
-    /// stops at the first diagnostic: the handle flips to
-    /// [`FeedStatus::Rejected`], retains that diagnostic, and ignores the
-    /// rest of this chunk and all later feeds. Feeding a stale handle does
-    /// nothing and reports [`FeedStatus::Stale`].
+    /// The open document behind `doc`, or `None` when the handle is stale.
+    ///
+    /// # Panics
+    /// Panics if `doc` belongs to another service.
+    pub fn get(&self, doc: DocId) -> Option<&Document> {
+        self.check_service(doc);
+        self.slots
+            .get(doc.index as usize)
+            .filter(|slot| slot.generation == doc.generation)
+            .map(|slot| &slot.doc)
+    }
+
+    /// The open slot behind `doc`, or `None` when the handle is stale.
+    fn slot_mut(&mut self, doc: DocId) -> Option<&mut Slot> {
+        self.check_service(doc);
+        self.slots
+            .get_mut(doc.index as usize)
+            .filter(|slot| slot.generation == doc.generation)
+    }
+
+    /// [`Document::feed`] on the document behind `doc`. Feeding a stale
+    /// handle does nothing and reports [`FeedStatus::Stale`].
     ///
     /// # Panics
     /// Panics if `doc` belongs to another service.
     #[must_use = "a rejected document should stop being fed"]
     pub fn feed(&mut self, doc: DocId, events: &[DocEvent]) -> FeedStatus {
-        self.check_service(doc);
-        let now = self.now;
-        let flight = match self.doc_state_mut(doc) {
-            None => return FeedStatus::Stale,
-            Some(DocState::Swept(_)) => return FeedStatus::Rejected,
-            Some(DocState::Live(flight)) => flight,
-        };
-        flight.last_activity = now;
-        if flight.rejected.is_some() {
-            return FeedStatus::Rejected;
-        }
-        for &event in events {
-            match event {
-                DocEvent::Open(sym) => flight.validator.start_element_symbol(sym),
-                DocEvent::Close => flight.validator.end_element(),
-                DocEvent::Attr(sym) => flight.validator.attribute(sym),
-                DocEvent::Text => flight.validator.text(),
-            }
-            if !flight.validator.is_clean() {
-                flight.rejected = flight.validator.take_first_diagnostic();
-                return FeedStatus::Rejected;
-            }
-        }
-        Self::progress(flight)
+        self.slot_mut(doc)
+            .map_or(FeedStatus::Stale, |slot| slot.doc.feed(events))
     }
 
-    /// Advances a document by a chunk of raw bytes, tokenizing full markup
-    /// on the fly. Chunk boundaries may fall anywhere — mid-name, mid-
-    /// attribute-value, mid-text, mid-comment; the scanner state lives in
-    /// the handle. Element and attribute names are resolved against the
-    /// schema per tag, attribute values and character data (with the
-    /// predefined entity and character references decoded) are checked
-    /// against the schema's `<!ATTLIST>` tables and mixed-content rules;
-    /// comments, PIs and doctypes are skipped. Fails fast exactly like
-    /// [`ValidationService::feed`], with unparsable markup reported as a
-    /// [`redet_core::Code::MalformedMarkup`] diagnostic and unknown entity
-    /// references as [`redet_core::Code::UnknownEntity`]. When a byte
-    /// budget is configured, bytes past it are never scanned: the chunk is
-    /// truncated at the budget and the violation fires at the same point
-    /// under every chunking. Feeding a stale handle does nothing and
-    /// reports [`FeedStatus::Stale`].
+    /// [`Document::feed_bytes`] on the document behind `doc`. Feeding a
+    /// stale handle does nothing and reports [`FeedStatus::Stale`].
     ///
     /// # Panics
     /// Panics if `doc` belongs to another service.
     #[must_use = "a rejected document should stop being fed"]
     pub fn feed_bytes(&mut self, doc: DocId, bytes: &[u8]) -> FeedStatus {
-        self.check_service(doc);
-        let now = self.now;
-        let max_bytes = self.limits.max_bytes;
-        let flight = match self.doc_state_mut(doc) {
-            None => return FeedStatus::Stale,
-            Some(DocState::Swept(_)) => return FeedStatus::Rejected,
-            Some(DocState::Live(flight)) => flight,
-        };
-        flight.last_activity = now;
-        if flight.rejected.is_some() {
-            return FeedStatus::Rejected;
-        }
-        // Truncate the chunk at the byte budget, so the violation point —
-        // and therefore the diagnostic — is chunking-independent.
-        let (head, overflow) = match max_bytes {
-            Some(max) => {
-                let remaining = max.saturating_sub(flight.bytes_fed);
-                if bytes.len() as u64 > remaining {
-                    (&bytes[..remaining as usize], true)
-                } else {
-                    (bytes, false)
-                }
-            }
-            None => (bytes, false),
-        };
-        let validator = &mut flight.validator;
-        let clean = flight.tokenizer.feed(head, &mut |tag| {
-            match tag {
-                Tag::Open(name) => validator.start_element_bytes(name),
-                Tag::Attr { name, .. } => validator.attribute_bytes(name),
-                Tag::SelfClose => validator.end_element(),
-                // XML well-formedness: the end tag must name the innermost
-                // open element. (Event-level feeding has no names on close
-                // events, so only bytes pay this.)
-                Tag::Close(name) => validator.close_element_bytes(name),
-                Tag::Text(segment) => validator.text_segment(segment),
-                // The tokenizer's length caps are resource limits, not
-                // grammar errors: report them under the E3xx family.
-                Tag::Error(message) if message == NAME_TOO_LONG || message == ATTR_TOO_LONG => {
-                    validator.report_limit(Code::NameLimitExceeded, message.to_owned());
-                }
-                Tag::Error(message) if message == VALUE_TOO_LONG => {
-                    validator.report_limit(Code::ValueLimitExceeded, message.to_owned());
-                }
-                // Unknown/invalid entity references are markup-level `E2xx`
-                // diagnostics with their own code.
-                Tag::Error(message) if is_entity_error(message) => {
-                    validator.report_limit(Code::UnknownEntity, message.to_owned());
-                }
-                Tag::Error(message) => validator.report_markup(message.to_owned()),
-            }
-            validator.is_clean()
-        });
-        flight.bytes_fed += head.len() as u64;
-        if !clean {
-            flight.rejected = flight.validator.take_first_diagnostic();
-            return FeedStatus::Rejected;
-        }
-        if overflow {
-            flight.validator.report_limit(
-                Code::ByteLimitExceeded,
-                format!(
-                    "document exceeded the byte budget of {} byte(s)",
-                    max_bytes.unwrap_or(u64::MAX)
-                ),
-            );
-            flight.rejected = flight.validator.take_first_diagnostic();
-            return FeedStatus::Rejected;
-        }
-        Self::progress(flight)
+        self.slot_mut(doc)
+            .map_or(FeedStatus::Stale, |slot| slot.doc.feed_bytes(bytes))
     }
 
-    /// Advances the service's logical clock to `now` and sweeps every live
-    /// handle whose last activity is more than the configured idle budget
-    /// in the past: the handle flips to `Rejected` with a
-    /// [`Code::IdleTimeout`] diagnostic (an earlier rejection, if any, is
-    /// kept — the earliest-diagnostic contract), and its validator/
-    /// tokenizer buffers are recycled immediately. Returns the number of
-    /// handles swept. Without a configured idle budget this only advances
-    /// the clock.
-    ///
-    /// The clock is dependency-free: drive it from any timer source — a
-    /// poll-loop iteration counter, seconds since start, an epoll timeout
-    /// generation. Clocks never run backwards (`now` below a previous
-    /// `tick` is ignored).
-    pub fn tick(&mut self, now: u64) -> usize {
-        if now > self.now {
-            self.now = now;
-        }
-        let Some(budget) = self.limits.idle_budget else {
-            return 0;
-        };
-        let now = self.now;
-        let mut swept = 0usize;
-        // `self.spare` is pushed to while `self.slots` is mutably iterated
-        // (disjoint fields), so the recycle() schema check is inlined here
-        // against a raw pointer captured up front.
-        let current_schema: *const Schema = Arc::as_ptr(&self.schema);
-        for slot in &mut self.slots {
-            let idle = matches!(
-                slot.doc.as_ref(),
-                Some(DocState::Live(flight)) if now.saturating_sub(flight.last_activity) > budget
-            );
-            if !idle {
-                continue;
-            }
-            let Some(DocState::Live(mut flight)) = slot.doc.take() else {
-                continue;
-            };
-            let diagnostic = match flight.rejected.take() {
-                // An already-rejected handle keeps its earlier cause.
-                Some(diagnostic) => diagnostic,
-                None => {
-                    flight.validator.report_limit(
-                        Code::IdleTimeout,
-                        format!("document sat idle past the idle budget of {budget} tick(s)"),
-                    );
-                    flight
-                        .validator
-                        .take_first_diagnostic()
-                        .expect("just recorded")
-                }
-            };
-            let _ = flight.validator.finish();
-            flight.tokenizer.reset();
-            slot.doc = Some(DocState::Swept(diagnostic));
-            if std::ptr::eq(flight.validator.schema(), current_schema) {
-                self.spare.push(flight);
-            }
-            swept += 1;
-        }
-        swept
-    }
-
-    /// The current status of a document, without feeding anything. Stale
-    /// handles report [`FeedStatus::Stale`]; swept handles report
-    /// [`FeedStatus::Rejected`].
-    ///
-    /// # Panics
-    /// Panics if `doc` belongs to another service.
-    pub fn status(&self, doc: DocId) -> FeedStatus {
-        self.check_service(doc);
-        match self.doc_state(doc) {
-            None => FeedStatus::Stale,
-            Some(DocState::Swept(_)) => FeedStatus::Rejected,
-            Some(DocState::Live(flight)) if flight.rejected.is_some() => FeedStatus::Rejected,
-            Some(DocState::Live(flight)) => Self::progress(flight),
-        }
-    }
-
-    /// The retained diagnostic of a rejected (or swept) document, if any.
-    /// Stale handles have no retained state and return `None`.
-    ///
-    /// # Panics
-    /// Panics if `doc` belongs to another service.
-    pub fn diagnostic(&self, doc: DocId) -> Option<&Diagnostic> {
-        self.check_service(doc);
-        match self.doc_state(doc)? {
-            DocState::Live(flight) => flight.rejected.as_ref(),
-            DocState::Swept(diagnostic) => Some(diagnostic),
-        }
-    }
-
-    /// Whether a document was swept by the idle governor: its buffers are
-    /// recycled and only the rejection cause is retained until the handle
-    /// is finished or closed. A network front end uses this to answer a
-    /// connection whose document was idled out without waiting for the
-    /// peer to send more bytes. `false` for live and stale handles.
-    ///
-    /// # Panics
-    /// Panics if `doc` belongs to another service.
-    pub fn is_swept(&self, doc: DocId) -> bool {
-        self.check_service(doc);
-        matches!(self.doc_state(doc), Some(DocState::Swept(_)))
-    }
-
-    /// Number of currently open elements of a document (0 for stale and
-    /// swept handles).
-    ///
-    /// # Panics
-    /// Panics if `doc` belongs to another service.
-    pub fn depth(&self, doc: DocId) -> usize {
-        self.check_service(doc);
-        match self.doc_state(doc) {
-            Some(DocState::Live(flight)) => flight.validator.depth(),
-            _ => 0,
-        }
-    }
-
-    /// Ends a document: checks end-of-document acceptance (every element
-    /// closed, no markup left open), releases the handle and recycles its
-    /// buffers. Returns the retained diagnostic for rejected documents —
-    /// byte-identical to the *first* diagnostic a whole-document
-    /// [`DocumentValidator`] run over the same events would report — the
-    /// idle-timeout diagnostic for swept documents, and a
-    /// [`Code::StaleHandle`] diagnostic for stale handles (which hold no
-    /// document to release).
+    /// Ends a document with [`Document::finish`] and releases its handle.
+    /// A stale handle (which holds no document to release) returns a
+    /// [`Code::StaleHandle`] diagnostic.
     ///
     /// # Panics
     /// Panics if `doc` belongs to another service.
     #[must_use = "the validation verdict is the point of finish()"]
     pub fn finish(&mut self, doc: DocId) -> Result<(), Diagnostic> {
-        self.check_service(doc);
-        let Some(state) = self.take_doc_state(doc) else {
-            return Err(Self::stale_diagnostic());
-        };
-        let mut flight = match state {
-            DocState::Swept(diagnostic) => return Err(diagnostic),
-            DocState::Live(flight) => flight,
-        };
-        let result = match flight.rejected.take() {
-            Some(diagnostic) => {
-                // Reset the abandoned mid-document state for recycling.
-                let _ = flight.validator.finish();
-                Err(diagnostic)
-            }
-            None if !flight.tokenizer.is_idle() => {
-                flight
-                    .validator
-                    .report_markup("byte stream ended inside markup".to_owned());
-                let diagnostic = flight
-                    .validator
-                    .take_first_diagnostic()
-                    .expect("just recorded");
-                let _ = flight.validator.finish();
-                Err(diagnostic)
-            }
-            None => flight.validator.finish().map_err(|mut diagnostics| {
-                // Only end-of-document diagnostics can be pending here —
-                // anything earlier would have rejected the handle.
-                diagnostics.remove(0)
-            }),
-        };
-        flight.tokenizer.reset();
-        self.recycle(flight);
-        result
+        match self.release(doc) {
+            Some(document) => document.finish(),
+            None => Err(Diagnostic::new(
+                Code::StaleHandle,
+                "document handle is stale: already finished or closed",
+            )),
+        }
     }
 
-    /// Abandons a document without the end-of-document check, releasing the
-    /// handle and recycling its buffers. Idempotent: closing a stale handle
-    /// (including a double close) is a no-op.
+    /// Abandons a document, discarding its verdict, and releases its
+    /// handle. Idempotent: closing a stale handle (including a double
+    /// close) is a no-op.
     ///
     /// # Panics
     /// Panics if `doc` belongs to another service.
     pub fn close(&mut self, doc: DocId) {
-        self.check_service(doc);
-        match self.take_doc_state(doc) {
-            None | Some(DocState::Swept(_)) => {}
-            Some(DocState::Live(mut flight)) => {
-                flight.rejected = None;
-                let _ = flight.validator.finish();
-                flight.tokenizer.reset();
-                self.recycle(flight);
-            }
+        if let Some(document) = self.release(doc) {
+            let _ = document.finish();
         }
     }
 
@@ -820,26 +728,6 @@ impl ValidationService {
         self.finish(doc)
     }
 
-    /// The feed status of a live (non-rejected) document.
-    fn progress(flight: &InFlight) -> FeedStatus {
-        if flight.validator.depth() == 0
-            && flight.validator.events() > 0
-            && flight.tokenizer.is_idle()
-        {
-            FeedStatus::Accepted
-        } else {
-            FeedStatus::NeedMore
-        }
-    }
-
-    /// The diagnostic handed out for operations on stale handles.
-    fn stale_diagnostic() -> Diagnostic {
-        Diagnostic::new(
-            Code::StaleHandle,
-            "document handle is stale: already finished, closed, or swept and recycled",
-        )
-    }
-
     /// Mixing handles *across services* is a programming error (the slab
     /// indices would alias), not a traffic pattern — it panics rather than
     /// reporting a stale handle.
@@ -850,33 +738,14 @@ impl ValidationService {
         );
     }
 
-    /// The generation-checked state of a handle (`None` when stale).
-    fn doc_state(&self, doc: DocId) -> Option<&DocState> {
-        self.slots
-            .get(doc.index as usize)
-            .filter(|slot| slot.generation == doc.generation)
-            .and_then(|slot| slot.doc.as_ref())
-    }
-
-    /// Mutable [`ValidationService::doc_state`].
-    fn doc_state_mut(&mut self, doc: DocId) -> Option<&mut DocState> {
-        self.slots
-            .get_mut(doc.index as usize)
-            .filter(|slot| slot.generation == doc.generation)
-            .and_then(|slot| slot.doc.as_mut())
-    }
-
-    /// Removes a document from its slot, freeing the slot for reuse and
-    /// invalidating every copy of the handle. `None` when stale.
-    fn take_doc_state(&mut self, doc: DocId) -> Option<DocState> {
-        let slot = self
-            .slots
-            .get_mut(doc.index as usize)
-            .filter(|slot| slot.generation == doc.generation)?;
-        let state = slot.doc.take()?;
+    /// Frees the slot behind `doc` for reuse, invalidating every copy of
+    /// the handle, and returns its document for the caller to end. `None`
+    /// when stale.
+    fn release(&mut self, doc: DocId) -> Option<&mut Document> {
+        let slot = self.slot_mut(doc)?;
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(doc.index);
-        Some(state)
+        Some(&mut self.slots[doc.index as usize].doc)
     }
 }
 
@@ -885,9 +754,7 @@ impl std::fmt::Debug for ValidationService {
         f.debug_struct("ValidationService")
             .field("schema", &self.schema)
             .field("limits", &self.limits)
-            .field("now", &self.now)
             .field("in_flight", &self.in_flight())
-            .field("spare", &self.spare.len())
             .finish()
     }
 }
@@ -980,10 +847,11 @@ mod tests {
         let doc = service.open();
         assert_eq!(service.feed(doc, &bad[..2]), FeedStatus::NeedMore);
         assert_eq!(service.feed(doc, &bad[2..4]), FeedStatus::Rejected);
-        let retained = service.diagnostic(doc).unwrap().to_string();
+        let retained = service.get(doc).unwrap().diagnostic().unwrap().to_string();
         // Further feeding is a no-op; the diagnostic does not change.
         assert_eq!(service.feed(doc, &bad[4..]), FeedStatus::Rejected);
-        assert_eq!(service.diagnostic(doc).unwrap().to_string(), retained);
+        let document = service.get(doc).unwrap();
+        assert_eq!(document.diagnostic().unwrap().to_string(), retained);
         let err = service.finish(doc).unwrap_err();
         assert_eq!(err.to_string(), retained);
         // Byte-identical to the first whole-document diagnostic.
@@ -1018,11 +886,9 @@ mod tests {
         let h = service.open();
         service.close(h);
         // Every operation on the stale handle is graceful and distinct.
-        assert_eq!(service.status(h), FeedStatus::Stale);
+        assert!(service.get(h).is_none());
         assert_eq!(service.feed(h, &doc), FeedStatus::Stale);
         assert_eq!(service.feed_bytes(h, b"<bibliography/>"), FeedStatus::Stale);
-        assert!(service.diagnostic(h).is_none());
-        assert_eq!(service.depth(h), 0);
         let err = service.finish(h).unwrap_err();
         assert_eq!(err.code(), Code::StaleHandle);
         // Double close is a no-op — and the slab did not leak.
@@ -1153,7 +1019,7 @@ mod tests {
         let mut second = ValidationService::new(schema);
         let doc = first.open();
         let _ = second.open(); // same slot index and generation — still foreign
-        let _ = second.status(doc);
+        let _ = second.get(doc);
     }
 
     #[test]
@@ -1291,39 +1157,42 @@ mod tests {
     }
 
     #[test]
-    fn tick_sweeps_idle_handles_and_recycles_their_buffers() {
+    fn time_out_rejects_with_e306_keeps_earlier_diagnostics_and_resets() {
         let schema = bibliography();
         let doc_events = events(&schema, VALID);
         let limits = ServiceLimits::default().with_idle_budget(5);
-        let mut service = ValidationService::with_limits(Arc::clone(&schema), limits);
-        let idle = service.open();
-        let busy = service.open();
-        assert_eq!(service.feed(idle, &doc_events[..1]), FeedStatus::NeedMore);
-        // Within the budget nothing is swept.
-        assert_eq!(service.tick(5), 0);
-        assert_eq!(service.feed(busy, &doc_events[..1]), FeedStatus::NeedMore);
-        // Past the budget only the idle handle goes.
-        assert_eq!(service.tick(6), 1);
-        assert_eq!(service.status(idle), FeedStatus::Rejected);
-        assert_eq!(service.status(busy), FeedStatus::NeedMore);
-        assert_eq!(service.diagnostic(idle).unwrap().code(), Code::IdleTimeout);
-        // Feeding the swept handle is refused without work.
-        assert_eq!(service.feed(idle, &doc_events[1..]), FeedStatus::Rejected);
-        let err = service.finish(idle).unwrap_err();
+        let mut document = Document::new(Arc::clone(&schema), limits);
+        assert_eq!(document.feed(&doc_events[..1]), FeedStatus::NeedMore);
+        let err = document.time_out();
         assert_eq!(err.code(), Code::IdleTimeout);
-        // The busy handle was stamped by its feeds and is unaffected.
-        assert_eq!(service.feed(busy, &doc_events[1..]), FeedStatus::Accepted);
-        assert!(service.finish(busy).is_ok());
-        assert_eq!(service.in_flight(), 0);
-        // The clock never runs backwards.
-        assert_eq!(service.tick(3), 0);
-        // An already-rejected idle handle keeps its earlier diagnostic.
-        let h = service.open();
+        assert_eq!(
+            err.message(),
+            "document sat idle past the idle budget of 5 tick(s)"
+        );
+        let location = err.location().unwrap();
+        assert_eq!(
+            (location.path.as_str(), location.event),
+            ("bibliography", 1)
+        );
+        // The timed-out document was reset: the next one starts clean.
+        assert_eq!(document.status(), FeedStatus::NeedMore);
+        assert_eq!(document.depth(), 0);
+        assert_eq!(document.feed(&doc_events), FeedStatus::Accepted);
+        assert!(document.finish().is_ok());
+        // An already-rejected document keeps its earlier diagnostic.
         let bad = events(&schema, &["bibliography", "year"]);
-        assert_eq!(service.feed(h, &bad), FeedStatus::Rejected);
-        let retained = service.diagnostic(h).unwrap().to_string();
-        assert_eq!(service.tick(100), 1);
-        assert_eq!(service.diagnostic(h).unwrap().to_string(), retained);
-        service.close(h);
+        assert_eq!(document.feed(&bad), FeedStatus::Rejected);
+        let retained = document.diagnostic().unwrap().to_string();
+        assert_eq!(document.time_out().to_string(), retained);
+        // … and is reset after the time-out too.
+        assert_eq!(document.status(), FeedStatus::NeedMore);
+        let mut bytes = Document::new(schema, limits);
+        assert_eq!(bytes.feed_bytes(b"<bibliography><bo"), FeedStatus::NeedMore);
+        assert_eq!(bytes.time_out().code(), Code::IdleTimeout);
+        assert_eq!(
+            bytes.feed_bytes(b"<bibliography></bibliography>"),
+            FeedStatus::Accepted
+        );
+        assert!(bytes.finish().is_ok());
     }
 }

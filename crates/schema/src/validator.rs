@@ -853,7 +853,7 @@ impl DocumentValidator {
     /// Records a diagnostic of any code at the current document position —
     /// the service layer's entry for `E3xx` resource-governance violations
     /// that are not tied to a single event (byte budgets, name caps, idle
-    /// sweeps). The event counter is not advanced, so the location is the
+    /// time-outs). The event counter is not advanced, so the location is the
     /// deterministic "between events" point whatever the chunking.
     pub(crate) fn report_limit(&mut self, code: Code, message: String) {
         let event = self.events;

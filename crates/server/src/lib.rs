@@ -2,9 +2,9 @@
 //! CLI) for the streaming validation service.
 //!
 //! The crate turns the in-process serving surface of `redet-schema` — the
-//! governed [`redet_schema::ValidationService`] with its resource limits
-//! and idle sweeping — into something you can put on a
-//! socket, without pulling in an async runtime or any dependency at all:
+//! governed [`redet_schema::Document`] stream with its resource limits and
+//! idle time-out — into something you can put on a socket, without pulling
+//! in an async runtime or any dependency at all:
 //!
 //! - [`wire`] — the stable single-line rendering of validation verdicts
 //!   shared by server responses and CLI output, pinned by test.
@@ -14,7 +14,7 @@
 //! - [`server`] — [`Server`]: one blocking `std::net` thread per
 //!   connection that streams request bytes straight into `feed_bytes` and
 //!   writes each verdict back as one line, with a connection cap, read
-//!   timeouts driving the idle sweeper, and a graceful drain on shutdown.
+//!   timeouts ending idle documents, and a graceful drain on shutdown.
 //! - [`cli`] — the `redet` binary's subcommands (`validate`, `lint`,
 //!   `serve`, `request`, `publish`, `shutdown`), hand-rolled argument
 //!   parsing included.

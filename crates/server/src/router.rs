@@ -16,12 +16,12 @@
 //!   load the new one.
 //!
 //! Documents themselves are not routed here: each connection validates
-//! its requests on its own [`redet_schema::ValidationService`] per route,
-//! bound to the route's current schema before every open.
+//! its requests on its own [`Document`] per route, replaced when the
+//! route's current schema is another artifact.
 
 use redet_core::{Code, Diagnostic};
 use redet_schema::registry::SharedSchema;
-use redet_schema::{in_flight_refusal, Schema, ServiceLimits, ValidationService};
+use redet_schema::{in_flight_refusal, Document, Schema, ServiceLimits};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -186,11 +186,13 @@ impl SchemaRouter {
     }
 
     /// Validates one whole raw-byte document against the schema under
-    /// `id`: admission, then `try_open` + `feed_bytes` + `finish` — the
-    /// loop the wire protocol runs per request.
+    /// `id`: admission, then one [`Document`]'s `feed_bytes` + `finish` —
+    /// the loop the wire protocol runs per request.
     pub fn validate_bytes(&self, id: &str, bytes: &[u8]) -> Result<(), Diagnostic> {
         let admission = self.admit(self.find(id)?)?;
-        ValidationService::with_limits(admission.schema(), admission.limits()).validate_bytes(bytes)
+        let mut doc = Document::new(admission.schema(), admission.limits());
+        let _ = doc.feed_bytes(bytes);
+        doc.finish()
     }
 }
 
@@ -272,16 +274,15 @@ mod tests {
 
         // Admit under v1 (pair) and feed half of a pair document.
         let old = router.admit(0).unwrap();
-        let mut service = ValidationService::new(old.schema());
-        let doc = service.try_open().unwrap();
-        let _ = service.feed_bytes(doc, b"<pair><left/>");
+        let mut doc = Document::new(old.schema(), old.limits());
+        let _ = doc.feed_bytes(b"<pair><left/>");
 
         // Hot-swap v2 (list) mid-flight; the index is stable.
         assert_eq!(router.publish("doc", list_schema()).unwrap(), 0);
 
         // The in-flight document still validates as a pair…
-        let _ = service.feed_bytes(doc, b"<right/></pair>");
-        assert!(service.finish(doc).is_ok());
+        let _ = doc.feed_bytes(b"<right/></pair>");
+        assert!(doc.finish().is_ok());
         drop(old);
 
         // …while a post-publish admission rejects it under the list schema.

@@ -32,13 +32,12 @@
 //! previous schema serving; unknown ids answer `E103` — publishing never
 //! creates a new wire id.
 //!
-//! Body bytes stream straight into [`ValidationService::feed_bytes`]
-//! exactly as the socket delivers them, so chunk boundaries fall wherever
-//! the network put them — the service contract makes the verdict
-//! chunking-invariant, and every verdict (including the `E3xx` refusals:
-//! overload at admission, idle sweeps, per-document limits) is
-//! **byte-identical** to what an in-process `try_open`/`feed_bytes`/
-//! `finish` sequence reports.
+//! Body bytes stream straight into [`Document::feed_bytes`] exactly as
+//! the socket delivers them, so chunk boundaries fall wherever the network
+//! put them — the document contract makes the verdict chunking-invariant,
+//! and every verdict (including the `E3xx` refusals: overload at
+//! admission, idle timeouts, per-document limits) is **byte-identical** to
+//! what an in-process `feed_bytes`/`finish` sequence reports.
 //!
 //! # Threads
 //!
@@ -48,10 +47,10 @@
 //! nobody else. A thread parses header lines in place from one cursor
 //! buffer and writes each response as soon as it is known: a peer that
 //! pipelines without reading blocks only its own thread. It keeps one
-//! [`ValidationService`] per schema id it has used and binds it to the
-//! id's current schema before every open. The shared [`SchemaRouter`] is
-//! read-only after startup: admission is one atomic counter per id
-//! (`E305`), a publish is one `SharedSchema` publish.
+//! [`Document`] per schema id it has used and replaces it with a new one
+//! when the id's current schema is another artifact. The shared
+//! [`SchemaRouter`] is read-only after startup: admission is one atomic
+//! counter per id (`E305`), a publish is one `SharedSchema` publish.
 //!
 //! A `P` body that misses the [`Registry`] cache compiles on the
 //! connection that sent it, which publishes that artifact and answers.
@@ -65,9 +64,10 @@
 //! acceptor answers with one `E305` line and closes the connection. When a
 //! schema's [`ServiceLimits::with_idle_budget`] is set, reads under its
 //! documents time out after `idle_budget × tick_interval`; a timeout
-//! mid-document sweeps the document through [`ValidationService::tick`],
-//! answers its `E306` verdict and closes. Between requests the smallest
-//! budget of any schema applies, and a timeout closes silently.
+//! mid-document ends the document with [`Document::time_out`], answers its
+//! `E306` verdict (or the document's earlier rejection) and closes.
+//! Between requests the smallest budget of any schema applies, and a
+//! timeout closes silently.
 //!
 //! # Shutdown
 //!
@@ -83,7 +83,7 @@ use crate::router::{Admission, SchemaRouter};
 use crate::wire;
 use redet_core::{Code, Diagnostic};
 use redet_schema::registry::Registry;
-use redet_schema::{DocId, FeedStatus, ValidationService};
+use redet_schema::{Document, FeedStatus};
 use std::io::{self, Read, Write};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
@@ -115,9 +115,9 @@ const READ_BUF: usize = 16 * 1024;
 /// idle timeouts fast).
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// How much wall-clock time one logical tick of the idle clock
-    /// represents; [`ServiceLimits::with_idle_budget`] budgets are
-    /// multiples of this. Default: 1 second.
+    /// How much wall-clock time one tick of an idle budget represents;
+    /// [`ServiceLimits::with_idle_budget`] budgets are multiples of this.
+    /// Default: 1 second.
     pub tick_interval: Duration,
     /// Most connections served at once — the bound on connection threads.
     /// Default: 1024.
@@ -198,7 +198,7 @@ pub struct ServerReport {
     pub accepted: u64,
     /// … of which `err` (schema rejections and `E3xx` refusals alike).
     pub rejected: u64,
-    /// Documents swept by the idle timeout.
+    /// Documents ended by the idle timeout.
     pub swept: u64,
     /// Schemas hot-swapped by successful `P` requests.
     pub published: u64,
@@ -472,8 +472,7 @@ fn serve_connection(stream: &TcpStream, state: &AtomicU8, shared: &Shared) -> Se
         start: 0,
         end: 0,
         timeout: None,
-        clock: 0,
-        services: (0..shared.router.len()).map(|_| None).collect(),
+        docs: (0..shared.router.len()).map(|_| None).collect(),
         out: Vec::new(),
         report: ServerReport::default(),
     };
@@ -531,10 +530,8 @@ struct Conn<'a> {
     end: usize,
     /// The socket's current read timeout.
     timeout: Option<Duration>,
-    /// This connection's logical idle clock, advanced by each timeout.
-    clock: u64,
-    /// One service per route this connection has used.
-    services: Vec<Option<ValidationService>>,
+    /// One document per route this connection has used.
+    docs: Vec<Option<Document>>,
     /// Response rendering buffer.
     out: Vec<u8>,
     report: ServerReport,
@@ -675,8 +672,8 @@ impl Conn<'_> {
         }
     }
 
-    /// A `V` request: admission, then the body streamed into a document
-    /// of this connection's service for the route.
+    /// A `V` request: admission, then the body streamed into this
+    /// connection's document for the route.
     fn validate(&mut self, route: Result<usize, Diagnostic>, len: Option<u64>) -> Flow {
         let shared = self.shared;
         let admitted = route.and_then(|index| shared.router.admit(index));
@@ -696,7 +693,7 @@ impl Conn<'_> {
         };
         let budget = admission.limits().idle_budget();
         self.set_timeout(budget.map(|b| idle_timeout(&shared.config, b)));
-        let (verdict, flow) = self.feed_document(&admission, budget, len);
+        let (verdict, flow) = self.feed_document(&admission, len);
         drop(admission);
         self.set_timeout(shared.header_timeout);
         match verdict {
@@ -708,67 +705,60 @@ impl Conn<'_> {
         }
     }
 
-    /// Streams one document's body through this connection's service for
+    /// Streams one document's body through this connection's document for
     /// the route and returns its verdict (`None` when the connection died
     /// or was shut down mid-document) and whether the connection goes on.
     fn feed_document(
         &mut self,
         admission: &Admission<'_>,
-        budget: Option<u64>,
         len: Option<u64>,
     ) -> (Option<Result<(), Diagnostic>>, Flow) {
         let index = admission.index();
-        let mut service = self.services[index].take().unwrap_or_else(|| {
-            ValidationService::with_limits(admission.schema(), admission.limits())
-        });
-        service.swap_schema(admission.schema());
-        let outcome = match service.try_open() {
-            Ok(doc) => self.stream_body(&mut service, doc, budget, len),
-            Err(refusal) => (Some(Err(refusal)), Flow::Close),
+        let schema = admission.schema();
+        // A publish since this connection's last request under the route
+        // replaced the artifact: validate under the new one.
+        let mut doc = match self.docs[index].take() {
+            Some(doc) if std::ptr::eq(doc.schema(), Arc::as_ptr(&schema)) => doc,
+            _ => Document::new(schema, admission.limits()),
         };
-        self.services[index] = Some(service);
+        let outcome = self.stream_body(&mut doc, len);
+        self.docs[index] = Some(doc);
         outcome
     }
 
-    /// The body loop of [`Conn::feed_document`] for the open `doc`.
+    /// The body loop of [`Conn::feed_document`].
     fn stream_body(
         &mut self,
-        service: &mut ValidationService,
-        doc: DocId,
-        budget: Option<u64>,
+        doc: &mut Document,
         mut remaining: Option<u64>,
     ) -> (Option<Result<(), Diagnostic>>, Flow) {
         loop {
             if remaining == Some(0) {
-                return (Some(service.finish(doc)), Flow::Next);
+                return (Some(doc.finish()), Flow::Next);
             }
             let (from, to) = match self.take(remaining.unwrap_or(u64::MAX)) {
                 Ok(range) => range,
                 Err(Fill::Idle) => {
-                    // The peer went quiet past the idle budget: sweep the
-                    // document so the E306 verdict is the service's own.
-                    self.clock += budget.unwrap_or(0).saturating_add(1);
-                    self.report.swept += service.tick(self.clock) as u64;
-                    return (Some(service.finish(doc)), Flow::Close);
+                    // The peer went quiet past the idle budget.
+                    self.report.swept += 1;
+                    return (Some(Err(doc.time_out())), Flow::Close);
                 }
                 Err(Fill::Eof) if !self.closing() => {
                     // Half-closed (unframed) or truncated (framed) input:
                     // the verdict is whatever finishing the partial
                     // document reports.
-                    return (Some(service.finish(doc)), Flow::Close);
+                    return (Some(doc.finish()), Flow::Close);
                 }
-                Err(_) => {
-                    service.close(doc);
-                    return (None, Flow::Close);
-                }
+                // The connection ends, and its documents with it.
+                Err(_) => return (None, Flow::Close),
             };
-            let status = service.feed_bytes(doc, &self.buf[from..to]);
+            let status = doc.feed_bytes(&self.buf[from..to]);
             match &mut remaining {
                 Some(left) => *left -= (to - from) as u64,
                 // Unframed requests answer as soon as the verdict is known
                 // and end the connection.
                 None if matches!(status, FeedStatus::Accepted | FeedStatus::Rejected) => {
-                    return (Some(service.finish(doc)), Flow::Close);
+                    return (Some(doc.finish()), Flow::Close);
                 }
                 None => {}
             }

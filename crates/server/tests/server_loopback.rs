@@ -7,10 +7,10 @@
 //! rendering an in-process `try_open` → `feed_bytes` → `finish` sequence
 //! over the same document through [`wire::render_verdict`]. That includes
 //! the governance refusals: `E305` under admission overload, `E306` from
-//! the wall-clock-driven idle sweeper and `E310` for an over-long
-//! attribute value.
+//! the wall-clock read timeout and `E310` for an over-long attribute
+//! value.
 
-use redet_schema::{Schema, SchemaBuilder, ServiceLimits};
+use redet_schema::{Document, Schema, SchemaBuilder, ServiceLimits};
 use redet_server::server::ShutdownHandle;
 use redet_server::{wire, SchemaRouter, Server, ServerConfig, ServerReport};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -272,25 +272,88 @@ fn idle_sweeps_surface_e306_without_more_input() {
     };
     let fixture = Fixture::two_schemas(limits, config);
 
-    // Park mid-document and just wait: the wall-clock timer source drives
-    // the sweeper, and the server pushes the verdict unprompted.
+    // Park mid-document and just wait: the read timeout ends the document,
+    // and the server pushes the verdict unprompted.
     let mut stream = fixture.connect();
     stream.write_all(b"V bib 1000\n<bibliography>").unwrap();
     let mut reader = BufReader::new(stream);
     let got = read_line(&mut reader);
 
     let expected = {
-        let schema = schema(BIB_DTD);
-        let mut service = schema.service_with_limits(limits);
-        let doc = service.try_open().unwrap();
-        let _ = service.feed_bytes(doc, b"<bibliography>");
-        service.tick(100);
-        wire::render_verdict(&service.finish(doc))
+        let mut doc = Document::new(schema(BIB_DTD), limits);
+        let _ = doc.feed_bytes(b"<bibliography>");
+        wire::render_verdict(&Err(doc.time_out()))
     };
     assert_eq!(got, expected);
     assert!(got.starts_with("err E306 "), "got: {got}");
     let report = fixture.stop();
     assert_eq!(report.swept, 1);
+}
+
+#[test]
+fn stalled_documents_answer_their_first_rejection_or_e306() {
+    let limits = ServiceLimits::default().with_idle_budget(1);
+    let config = ServerConfig {
+        tick_interval: Duration::from_millis(10),
+        ..ServerConfig::default()
+    };
+    let fixture = Fixture::two_schemas(limits, config);
+
+    // Rejected before it stalls: the time-out keeps the earlier diagnostic.
+    let body = b"<bibliography><nope/>";
+    let mut stream = fixture.connect();
+    stream.write_all(b"V bib 1000\n").unwrap();
+    stream.write_all(body).unwrap();
+    let got = read_line(&mut BufReader::new(stream));
+    assert_eq!(got, reference(&schema(BIB_DTD), limits, body));
+    assert!(got.starts_with("err E201 "), "got: {got}");
+
+    // Unframed and still valid so far: the stall itself is the verdict.
+    let mut stream = fixture.connect();
+    stream.write_all(b"V bib\n<bibliography>").unwrap();
+    let got = read_line(&mut BufReader::new(stream));
+    assert!(got.starts_with("err E306 "), "got: {got}");
+
+    let report = fixture.stop();
+    assert_eq!(report.swept, 2);
+    assert_eq!(report.rejected, 2);
+}
+
+#[test]
+fn a_warm_connection_validates_under_a_later_publish() {
+    let limits = ServiceLimits::default();
+    let fixture = Fixture::two_schemas(limits, ServerConfig::default());
+    let framed = |verb: &str, body: &str| {
+        let mut request = format!("{verb} bib {}\n", body.len()).into_bytes();
+        request.extend_from_slice(body.as_bytes());
+        request
+    };
+
+    // Connection X validates under `bib` and stays open.
+    let mut warm = fixture.connect();
+    let mut reader = BufReader::new(warm.try_clone().unwrap());
+    warm.write_all(&framed("V", GOOD_BIB)).unwrap();
+    assert_eq!(read_line(&mut reader), "ok");
+
+    // Another connection publishes the catalog DTD under `bib`.
+    let mut publisher = fixture.connect();
+    publisher.write_all(&framed("P", CAT_DTD)).unwrap();
+    assert_eq!(read_line(&mut BufReader::new(publisher)), "ok");
+
+    // X's next requests validate under the published schema.
+    let expected = reference(&schema(CAT_DTD), limits, GOOD_BIB.as_bytes());
+    assert!(
+        expected.starts_with("err "),
+        "the catalog rejects: {expected}"
+    );
+    warm.write_all(&framed("V", GOOD_BIB)).unwrap();
+    assert_eq!(read_line(&mut reader), expected);
+    warm.write_all(&framed("V", GOOD_CAT)).unwrap();
+    assert_eq!(read_line(&mut reader), "ok");
+
+    let report = fixture.stop();
+    assert_eq!(report.published, 1);
+    assert_eq!((report.accepted, report.rejected), (2, 1));
 }
 
 #[test]

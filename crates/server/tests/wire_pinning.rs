@@ -9,7 +9,7 @@
 //! also lock the end-to-end message text a user actually sees.
 
 use redet_core::{Code, Diagnostic};
-use redet_schema::{FeedStatus, SchemaBuilder, ServiceLimits};
+use redet_schema::{Document, FeedStatus, SchemaBuilder, ServiceLimits};
 use redet_server::server::connection_cap_refusal;
 use redet_server::wire::{render_diagnostic, render_verdict};
 
@@ -142,11 +142,9 @@ fn idle_sweep_refusal_is_pinned() {
         .element_empty("leaf")
         .build()
         .unwrap();
-    let mut service = schema.service_with_limits(ServiceLimits::default().with_idle_budget(1));
-    let doc = service.try_open().unwrap();
-    assert_eq!(service.feed_bytes(doc, b"<root>"), FeedStatus::NeedMore);
-    assert_eq!(service.tick(100), 1);
-    let line = render_verdict(&service.finish(doc));
+    let mut doc = Document::new(schema, ServiceLimits::default().with_idle_budget(1));
+    assert_eq!(doc.feed_bytes(b"<root>"), FeedStatus::NeedMore);
+    let line = render_verdict(&Err(doc.time_out()));
     assert_eq!(
         line,
         "err E306 - document sat idle past the idle budget of 1 tick(s) \

@@ -3,7 +3,7 @@
 //! `redet-server`'s [`Server`] is a dependency-free TCP front end over a
 //! [`SchemaRouter`]: every connection gets its own thread over a blocking
 //! `std::net` socket, and each thread validates its requests on its own
-//! `ValidationService` per schema id. This example exercises it the way
+//! `Document` per schema id. This example exercises it the way
 //! `redet serve` does — bind an ephemeral port, run the accept loop on a
 //! thread, and talk to it with plain `TcpStream`s:
 //!

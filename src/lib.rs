@@ -67,7 +67,7 @@
 //! | [`structures`] | van Emde Boas sets, lazy arrays, lowest colored ancestor |
 //! | [`automata`] | Glushkov construction, baseline determinism test, DFA/NFA matching, the `PosStepper` stepping interface |
 //! | [`core`] | linear-time determinism test (Thm 3.5), counting extension (§3.3), the four matchers (Thms 4.2/4.3/4.10/4.12), diagnostics |
-//! | [`schema`] | `SchemaBuilder`/`Schema` (DTD fragments, shared pipeline), the event-driven `DocumentValidator`, the connection-oriented `ValidationService` (resumable handles, raw-byte ingestion, `ServiceLimits` resource governance), and the content-hashed schema `Registry` with its `SharedSchema` hot-swap handle |
+//! | [`schema`] | `SchemaBuilder`/`Schema` (DTD fragments, shared pipeline), the event-driven `DocumentValidator`, the resumable `Document` stream (raw-byte ingestion, `ServiceLimits` resource governance) and the `ValidationService` handle table over many of them, and the content-hashed schema `Registry` with its `SharedSchema` hot-swap handle |
 //!
 //! The most convenient entry points are [`SchemaBuilder`] for whole schemas
 //! and [`DeterministicRegex`] for single expressions; the individual
@@ -92,7 +92,7 @@ pub use redet_core::{
     Pipeline, PositionMatcher, StarFreeMatcher, TransitionSim,
 };
 pub use redet_schema::{
-    ContentKind, DocEvent, DocId, DocumentValidator, FeedStatus, Schema, SchemaBuilder,
+    ContentKind, DocEvent, DocId, Document, DocumentValidator, FeedStatus, Schema, SchemaBuilder,
     ServiceLimits, ValidationService,
 };
 pub use redet_syntax::{parse, Alphabet, ExprStats, Regex, Span, Symbol};

@@ -14,7 +14,7 @@
 //! pollute the counter.
 
 use redet::core::matcher::starfree::BatchScratch;
-use redet::schema::{DocEvent, FeedStatus, ServiceLimits};
+use redet::schema::{DocEvent, Document, FeedStatus, ServiceLimits};
 use redet::{
     CompiledAnalysis, DocumentValidator, KOccurrenceMatcher, PosStepper, PositionMatcher,
     SchemaBuilder, StarFreeMatcher, Symbol,
@@ -303,10 +303,9 @@ fn steady_state_match_loops_do_not_allocate() {
     // --- Resource governance: the checks themselves are free. ---
     // A fully governed service (every cap configured, sized so the valid
     // traffic passes) must stay allocation-free in steady state: the limit
-    // bookkeeping on every feed, admission checks on every open, `tick`
-    // sweeps that find nothing to sweep, and feeds against an
-    // already-rejected handle (the fail-fast early-out) all run on the hot
-    // path. Only a *violation* may allocate — it builds a diagnostic once,
+    // bookkeeping on every feed, admission checks on every open, and feeds
+    // against an already-rejected handle (the fail-fast early-out) all run
+    // on the hot path. Only a *violation* may allocate — it builds a diagnostic once,
     // on the cold path.
     let limits = ServiceLimits::default()
         .with_max_depth(256)
@@ -316,7 +315,7 @@ fn steady_state_match_loops_do_not_allocate() {
         .with_max_in_flight(16)
         .with_idle_budget(1 << 20);
     let mut governed = schema.service_with_limits(limits);
-    let governed_round = |service: &mut redet::ValidationService, now: u64| {
+    let governed_round = |service: &mut redet::ValidationService| {
         let handles: [redet::DocId; 8] =
             std::array::from_fn(|_| service.try_open().expect("under the admission cap"));
         for chunk_start in (0..events.len()).step_by(16) {
@@ -324,8 +323,6 @@ fn steady_state_match_loops_do_not_allocate() {
             for &h in &handles {
                 let _ = service.feed(h, chunk);
             }
-            // A mid-round sweep that finds nothing idle must cost nothing.
-            service.tick(now);
         }
         let mut ok = true;
         for h in handles {
@@ -337,14 +334,11 @@ fn steady_state_match_loops_do_not_allocate() {
         }
         ok && service.finish(doc).is_ok()
     };
-    assert!(governed_round(&mut governed, 1), "documents are valid");
-    assert!(governed_round(&mut governed, 2), "documents are valid");
-    let (allocations, ok) = allocations_during(|| governed_round(&mut governed, 3));
+    assert!(governed_round(&mut governed), "documents are valid");
+    assert!(governed_round(&mut governed), "documents are valid");
+    let (allocations, ok) = allocations_during(|| governed_round(&mut governed));
     assert!(ok, "sanity: the measured governed round is valid");
-    assert_eq!(
-        allocations, 0,
-        "limit checks / no-op tick sweeps allocated in steady state"
-    );
+    assert_eq!(allocations, 0, "limit checks allocated in steady state");
 
     // Rejected- and stale-handle feeds: building the rejection allocates
     // its diagnostic (cold path, outside the measurement); every feed
@@ -361,15 +355,49 @@ fn steady_state_match_loops_do_not_allocate() {
                 governed.feed_bytes(rejected, xml.as_bytes()),
                 FeedStatus::Rejected
             );
-            assert_eq!(governed.status(rejected), FeedStatus::Rejected);
+            assert_eq!(
+                governed.get(rejected).map(Document::status),
+                Some(FeedStatus::Rejected)
+            );
             assert_eq!(governed.feed(stale, &events), FeedStatus::Stale);
-            assert_eq!(governed.status(stale), FeedStatus::Stale);
+            assert!(governed.get(stale).is_none());
         }
-        governed.depth(rejected)
+        governed.get(rejected).map(Document::depth)
     });
     assert_eq!(
         allocations, 0,
         "rejected/stale-handle feeds allocated in steady state"
     );
     governed.close(rejected);
+
+    // --- One `Document` reused across requests: the server's path. ---
+    // A connection feeds each request body to its route's document in
+    // chunks as the socket delivers them, finishes, and feeds the next body
+    // to the same document. Warmed, that loop allocates nothing, for plain
+    // and entity-dense markup alike.
+    let mut document = Document::new(std::sync::Arc::clone(&schema), limits);
+    let document_round = |document: &mut Document| {
+        let mut ok = true;
+        for (body, chunk) in [
+            (xml.as_bytes(), 61),
+            (markup_xml.as_bytes(), 61),
+            (entity_xml.as_bytes(), 5),
+        ] {
+            for _ in 0..3 {
+                for part in body.chunks(chunk) {
+                    let _ = document.feed_bytes(part);
+                }
+                ok &= document.finish().is_ok();
+            }
+        }
+        ok
+    };
+    assert!(document_round(&mut document), "documents are valid");
+    assert!(document_round(&mut document), "documents are valid");
+    let (allocations, ok) = allocations_during(|| document_round(&mut document));
+    assert!(ok, "sanity: the measured document round is valid");
+    assert_eq!(
+        allocations, 0,
+        "a reused Document allocated in steady state"
+    );
 }

@@ -3,27 +3,31 @@
 //! A front end under attack sees *everything at once*: truncated and
 //! duplicated chunks, reordered deliveries, clients that vanish mid-
 //! document, stale and double-closed handles, documents built to land
-//! exactly on a limit boundary, and timer sweeps firing in the middle of
-//! all of it. This suite drives a fully governed [`ValidationService`]
-//! (every [`ServiceLimits`] cap configured) through thousands of randomized
-//! scenarios from the in-repo SplitMix64 PRNG and asserts the global
-//! invariants that make the service safe to put behind a socket:
+//! exactly on a limit boundary, and documents timing out in the middle of
+//! all of it. This suite drives a fully governed [`ValidationService`] and
+//! a reused [`Document`] (every [`ServiceLimits`] cap configured) through
+//! thousands of randomized scenarios from the in-repo SplitMix64 PRNG and
+//! asserts the global invariants that make them safe to put behind a
+//! socket:
 //!
 //! * **never panics** — every chaos operation returns a status or a
 //!   diagnostic (only cross-service handle mixups panic, by contract);
-//! * **never leaks slab slots** — after each scenario drains, `in_flight`
-//!   returns to zero and the slab never outgrows the admission cap;
+//! * **never leaks** — after each scenario drains, `in_flight` returns to
+//!   zero and the slab never outgrows the admission cap; a timed-out
+//!   document validates the next one like a fresh document;
 //! * **deterministic** — the same master seed replays the same transcript
 //!   of statuses and diagnostic codes, so any failure here reproduces
 //!   byte-for-byte from its seed.
 //!
 //! (The companion `allocation_regression` suite pins the third hardening
-//! invariant — limit checks, empty tick sweeps and rejected-handle feeds
-//! allocate nothing in steady state — under its counting allocator.)
+//! invariant — limit checks and rejected-handle feeds allocate nothing in
+//! steady state — under its counting allocator.)
 
 use redet::schema::{FeedStatus, ServiceLimits};
-use redet::{Code, DocEvent, DocId, Schema, SchemaBuilder, Symbol, ValidationService};
+use redet::{Code, DocEvent, DocId, Document, Schema, SchemaBuilder, Symbol, ValidationService};
 use redet_bench::{book_document_events, events_to_xml};
+use redet_server::router::Admission;
+use redet_server::SchemaRouter;
 use redet_workloads::rng::StdRng;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -42,9 +46,8 @@ fn book_schema() -> Arc<Schema> {
 /// appended `<!ATTLIST>` line. The declaration order (and thus the symbol
 /// interning order) is untouched and the added attribute name is already
 /// interned, so symbols looked up against v1 stay valid — and verdicts
-/// identical — under v2. That keeps swap chaos deterministic: a publish
-/// may land between any two operations without changing any transcript
-/// outcome, exactly like a registry re-publish of a compatible revision.
+/// identical — under v2, exactly like a registry re-publish of a
+/// compatible revision.
 fn book_schema_v2() -> Arc<Schema> {
     let source = format!(
         "{}\n<!ATTLIST title role CDATA #IMPLIED>",
@@ -158,14 +161,14 @@ fn record(transcript: &mut String, op: &str, status: FeedStatus) {
     let _ = write!(transcript, "{op}:{status:?};");
 }
 
-/// One randomized scenario against the shared governed service. Appends
-/// every outcome to `transcript` and leaves the service fully drained.
+/// One randomized scenario against the shared governed service and
+/// document. Appends every outcome to `transcript` and leaves the service
+/// fully drained.
 fn run_scenario(
     service: &mut ValidationService,
-    schema: &Schema,
-    variants: &[Arc<Schema>],
+    document: &mut Document,
+    schema: &Arc<Schema>,
     seed: u64,
-    clock: &mut u64,
     transcript: &mut String,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -175,7 +178,7 @@ fn run_scenario(
     let mut live: Vec<(DocId, Vec<DocEvent>, usize)> = Vec::new();
     let mut graveyard: Vec<DocId> = Vec::new();
     for _ in 0..rng.gen_range(12..40usize) {
-        match rng.gen_range(0..11u32) {
+        match rng.gen_range(0..10u32) {
             // Admission — sometimes a whole burst, straight into refusal
             // at the cap (the backpressure edge a front end sheds load on).
             0 | 1 => {
@@ -269,36 +272,40 @@ fn run_scenario(
                 }
                 graveyard.push(doc);
             }
-            // Advance the logical clock — sweeps may fire mid-document.
+            // A connection's document stalls at a random byte (mid-tag
+            // included) and times out; it must then validate the next
+            // request's document exactly like a fresh one.
             7 => {
-                *clock += rng.gen_range(0..10u64);
-                let swept = service.tick(*clock);
-                let _ = write!(transcript, "tick+{swept};");
-                // Swept handles stay queryable until drained.
-                live.retain(|(doc, _, _)| {
-                    if service.status(*doc) == FeedStatus::Rejected
-                        && service
-                            .diagnostic(*doc)
-                            .is_some_and(|d| d.code() == Code::IdleTimeout)
-                    {
-                        let err = service.finish(*doc).expect_err("swept");
-                        assert_eq!(err.code(), Code::IdleTimeout);
-                        graveyard.push(*doc);
-                        false
-                    } else {
-                        true
+                let events = book_document_events(schema, 1, rng.next_u64());
+                let xml = events_to_xml(schema, &events);
+                let cut = rng.gen_range(0..xml.len());
+                for chunk in chaos_chunks(&xml.as_bytes()[..cut], &mut rng) {
+                    let _ = document.feed_bytes(chunk);
+                }
+                let earlier = document.diagnostic().map(|d| format!("{d:?}"));
+                let timed_out = document.time_out();
+                match earlier {
+                    Some(earlier) => {
+                        assert_eq!(format!("{timed_out:?}"), earlier);
+                        transcript.push_str("timeout:kept;");
                     }
-                });
-            }
-            // Registry publish: hot-swap the service's schema mid-feed.
-            // The variants are behaviorally identical revisions, so no
-            // transcript outcome moves — but the spare list is flushed and
-            // handles finishing under a superseded Arc are dropped instead
-            // of recycled, the exact hygiene a swap must get right.
-            8 => {
-                let pick = rng.gen_range(0..variants.len());
-                service.swap_schema(Arc::clone(&variants[pick]));
-                let _ = write!(transcript, "swap{pick};");
+                    None => {
+                        assert_eq!(timed_out.code(), Code::IdleTimeout);
+                        transcript.push_str("timeout:IdleTimeout;");
+                    }
+                }
+                let next = chaos_document(schema, &mut rng);
+                let mut fresh = Document::new(Arc::clone(schema), governed());
+                let _ = fresh.feed(&next);
+                let _ = document.feed(&next);
+                let verdict = document.finish();
+                assert_eq!(format!("{verdict:?}"), format!("{:?}", fresh.finish()));
+                match verdict {
+                    Ok(()) => transcript.push_str("next:ok;"),
+                    Err(d) => {
+                        let _ = write!(transcript, "next:{:?};", d.code());
+                    }
+                }
             }
             // Necromancy: operate on stale handles. Every op must be
             // graceful and must not disturb live handles.
@@ -309,13 +316,11 @@ fn run_scenario(
                 // `doc`'s slot may have been recycled to a *live* handle;
                 // staleness is per-generation, so the probes below are
                 // no-ops either way only if the handle itself is stale.
-                if service.status(doc) != FeedStatus::Stale {
+                if service.get(doc).is_some() {
                     continue;
                 }
                 assert_eq!(service.feed(doc, &[DocEvent::Close]), FeedStatus::Stale);
                 assert_eq!(service.feed_bytes(doc, b"<book>"), FeedStatus::Stale);
-                assert!(service.diagnostic(doc).is_none());
-                assert_eq!(service.depth(doc), 0);
                 let err = service.finish(doc).expect_err("stale");
                 assert_eq!(err.code(), Code::StaleHandle);
                 service.close(doc); // double close: a no-op
@@ -339,21 +344,19 @@ fn run_scenario(
 }
 
 /// Runs the full scenario schedule against a fresh governed service and
-/// returns the transcript.
+/// document and returns the transcript.
 fn run_suite(master_seed: u64) -> String {
     let schema = book_schema();
-    let variants = [Arc::clone(&schema), book_schema_v2()];
     let mut service = ValidationService::with_limits(Arc::clone(&schema), governed());
+    let mut document = Document::new(Arc::clone(&schema), governed());
     let mut master = StdRng::seed_from_u64(master_seed);
-    let mut clock = 0u64;
     let mut transcript = String::new();
     for _ in 0..SCENARIOS {
         run_scenario(
             &mut service,
+            &mut document,
             &schema,
-            &variants,
             master.next_u64(),
-            &mut clock,
             &mut transcript,
         );
     }
@@ -371,12 +374,12 @@ fn chaos_scenarios_never_panic_and_never_leak() {
     // Sanity: the chaos actually exercised every interesting path.
     for marker in [
         "refused;",
-        "tick+",
         "stale;",
         "fin:ok;",
         "bytes:Rejected",
-        "swap0;",
-        "swap1;",
+        "timeout:IdleTimeout;",
+        "timeout:kept;",
+        "next:ok;",
     ] {
         assert!(
             transcript.contains(marker),
@@ -447,72 +450,109 @@ fn slab_churn_returns_to_baseline() {
     );
 }
 
+/// Admits one request under route 0 and binds the connection's document
+/// `slot` to the route's current schema, the way a server connection
+/// does before each request.
+fn admit_and_bind<'r>(router: &'r SchemaRouter, slot: &mut Option<Document>) -> Admission<'r> {
+    let admission = router.admit(0).expect("under the admission cap");
+    let schema = admission.schema();
+    if !slot
+        .as_ref()
+        .is_some_and(|doc| std::ptr::eq(doc.schema(), Arc::as_ptr(&schema)))
+    {
+        *slot = Some(Document::new(schema, admission.limits()));
+    }
+    admission
+}
+
+/// Asserts that route 0 admits exactly `cap` requests: no admission leaked.
+fn assert_admissions_released(router: &SchemaRouter, cap: usize) {
+    let held: Vec<Admission<'_>> = (0..cap)
+        .map(|_| router.admit(0).expect("an admission leaked"))
+        .collect();
+    assert!(router.admit(0).is_err(), "the admission cap is gone");
+    drop(held);
+}
+
 #[test]
 fn publish_storms_never_panic_and_never_leak() {
-    // Swap-mid-feed, swap-then-sweep, and a publish storm to one id: the
-    // registry hazards distilled. In-flight documents must finish on the
-    // Arc they opened under, recycled buffers must never cross a swap, and
-    // the slab must return to baseline.
+    // Publish-mid-feed, publish-then-time-out, and a publish storm to one
+    // route: the registry hazards distilled. Documents in flight must
+    // finish on the Arc they started under, every admission must be
+    // released, and once the connections' documents and the route are
+    // gone nothing may keep a superseded artifact alive.
     let v1 = book_schema();
     let v2 = book_schema_v2();
-    let mut service = ValidationService::with_limits(Arc::clone(&v1), governed());
+    let mut router = SchemaRouter::new();
+    router
+        .register("book", Arc::clone(&v1), governed())
+        .unwrap();
     let valid = book_document_events(&v1, 1, 99);
     let cap = governed().max_in_flight().unwrap() as usize;
+    // One document per connection, half the cap of connections.
+    let mut conns: Vec<Option<Document>> = (0..cap / 2).map(|_| None).collect();
 
-    // Swap mid-feed: half the cap opens under v1, v2 lands mid-document,
-    // every document still finishes validly.
-    let mut clock = 0u64;
+    // Publish mid-feed: every connection starts a document, a publish
+    // lands mid-document, every document still finishes validly.
     for round in 0..50u64 {
-        let docs: Vec<DocId> = (0..cap / 2).map(|_| service.try_open().unwrap()).collect();
+        let admissions: Vec<Admission<'_>> = conns
+            .iter_mut()
+            .map(|slot| admit_and_bind(&router, slot))
+            .collect();
         let cut = valid.len() / 2;
-        for &doc in &docs {
-            assert_eq!(service.feed(doc, &valid[..cut]), FeedStatus::NeedMore);
+        for doc in conns.iter_mut().flatten() {
+            assert_eq!(doc.feed(&valid[..cut]), FeedStatus::NeedMore);
         }
-        let swap_to = if round % 2 == 0 { &v2 } else { &v1 };
-        service.swap_schema(Arc::clone(swap_to));
-        for &doc in &docs {
-            assert_eq!(service.feed(doc, &valid[cut..]), FeedStatus::Accepted);
-            assert!(service.finish(doc).is_ok());
+        let publish = if round % 2 == 0 { &v2 } else { &v1 };
+        router.publish("book", Arc::clone(publish)).unwrap();
+        for doc in conns.iter_mut().flatten() {
+            assert_eq!(doc.feed(&valid[cut..]), FeedStatus::Accepted);
+            assert!(doc.finish().is_ok());
         }
-        assert_eq!(service.in_flight(), 0, "round {round} leaked");
-        assert!(service.slab_size() <= cap);
+        drop(admissions);
+        assert_admissions_released(&router, cap);
     }
 
-    // Swap-then-sweep: idle handles opened under one schema are swept
-    // after a swap — the tick path drops (not recycles) their buffers.
+    // Publish-then-time-out: a document stalls across a publish and times
+    // out on the artifact it started under.
     for round in 0..20u64 {
-        let doc = service.try_open().unwrap();
-        assert_eq!(service.feed(doc, &valid[..3]), FeedStatus::NeedMore);
-        service.swap_schema(Arc::clone(if round % 2 == 0 { &v1 } else { &v2 }));
-        clock += governed().idle_budget().unwrap() + 1;
-        assert_eq!(service.tick(clock), 1);
-        assert_eq!(
-            service.finish(doc).unwrap_err().code(),
-            Code::IdleTimeout,
-            "round {round}"
-        );
-        assert_eq!(service.in_flight(), 0);
+        let admission = admit_and_bind(&router, &mut conns[0]);
+        let doc = conns[0].as_mut().unwrap();
+        assert_eq!(doc.feed(&valid[..3]), FeedStatus::NeedMore);
+        let publish = if round % 2 == 0 { &v1 } else { &v2 };
+        router.publish("book", Arc::clone(publish)).unwrap();
+        assert_eq!(doc.time_out().code(), Code::IdleTimeout, "round {round}");
+        drop(admission);
     }
+    assert_admissions_released(&router, cap);
 
-    // Publish storm: a thousand back-to-back swaps with handles open.
-    let docs: Vec<DocId> = (0..cap / 2).map(|_| service.try_open().unwrap()).collect();
+    // Publish storm: a thousand back-to-back publishes with documents open.
+    let admissions: Vec<Admission<'_>> = conns
+        .iter_mut()
+        .map(|slot| admit_and_bind(&router, slot))
+        .collect();
     for i in 0..1000u64 {
-        service.swap_schema(Arc::clone(if i % 2 == 0 { &v2 } else { &v1 }));
+        router
+            .publish("book", Arc::clone(if i % 2 == 0 { &v2 } else { &v1 }))
+            .unwrap();
     }
-    for &doc in &docs {
-        assert_eq!(service.feed(doc, &valid), FeedStatus::Accepted);
-        assert!(service.finish(doc).is_ok());
+    for doc in conns.iter_mut().flatten() {
+        assert_eq!(doc.feed(&valid), FeedStatus::Accepted);
+        assert!(doc.finish().is_ok());
     }
-    assert_eq!(service.in_flight(), 0, "storm leaked slab slots");
-    assert!(service.slab_size() <= cap, "storm grew the slab");
+    drop(admissions);
+    assert_admissions_released(&router, cap);
 
-    // The service still serves: a full open/feed/finish cycle post-storm.
-    let doc = service.try_open().unwrap();
-    assert_eq!(service.feed(doc, &valid), FeedStatus::Accepted);
-    assert!(service.finish(doc).is_ok());
+    // The route still serves: a full request post-storm.
+    let admission = admit_and_bind(&router, &mut conns[0]);
+    let doc = conns[0].as_mut().unwrap();
+    assert_eq!(doc.feed(&valid), FeedStatus::Accepted);
+    assert!(doc.finish().is_ok());
+    drop(admission);
 
-    // Nothing in the service still pins the superseded artifact.
-    drop(service);
+    // Nothing but the test's own bindings still pins either artifact.
+    drop(conns);
+    drop(router);
     assert_eq!(Arc::strong_count(&v1), 1);
     assert_eq!(Arc::strong_count(&v2), 1);
 }

@@ -2,13 +2,13 @@
 //!
 //! The contract under test:
 //!
-//! * a document opened against schema v1 **finishes validly** after v2 is
-//!   published mid-flight into its [`SharedSchema`] — in-flight handles
-//!   complete on the pre-publish `Arc<Schema>`;
-//! * a post-publish open **rejects the same document under v2**, with a
+//! * a document started against schema v1 **finishes validly** after v2
+//!   is published mid-flight into its [`SharedSchema`] — in-flight
+//!   documents complete on the pre-publish `Arc<Schema>`;
+//! * a post-publish document **rejects the same bytes under v2**, with a
 //!   diagnostic byte-identical across event and byte feeds;
-//! * the old artifact is dropped only after its last handle closes, when
-//!   the swap goes through a [`SchemaRouter`] route;
+//! * the old artifact is dropped once the last document over it is
+//!   rebound, when the swap goes through a [`SchemaRouter`] route;
 //! * the verdicts stay byte-identical to in-process validation over the
 //!   TCP wire, across a live `P` (publish) request;
 //! * the content-hashed compile cache performs exactly `distinct` pipeline
@@ -18,7 +18,7 @@
 
 use redet_core::Code;
 use redet_schema::registry::{Registry, SharedSchema};
-use redet_schema::{DocEvent, Schema, SchemaBuilder, ServiceLimits};
+use redet_schema::{DocEvent, Document, Schema, SchemaBuilder, ServiceLimits};
 use redet_server::{wire, SchemaRouter, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -44,6 +44,14 @@ fn build(dtd: &str) -> Arc<Schema> {
     SchemaBuilder::new().parse_dtd(dtd).build().unwrap()
 }
 
+/// Binds `doc` to `schema` the way a server connection does before each
+/// request: a document over another artifact is replaced.
+fn rebind(doc: &mut Document, schema: Arc<Schema>) {
+    if !std::ptr::eq(doc.schema(), Arc::as_ptr(&schema)) {
+        *doc = Document::new(schema, ServiceLimits::default());
+    }
+}
+
 /// The v1 document as pre-interned events of `schema`.
 fn v1_doc_events(schema: &Schema) -> Vec<DocEvent> {
     let sym = |name: &str| schema.lookup(name).unwrap();
@@ -62,25 +70,23 @@ fn in_flight_document_finishes_on_pre_publish_schema() {
     let v1 = build(V1_DTD);
     let handle = SharedSchema::new(Arc::clone(&v1));
 
-    let mut service = handle.load().service();
-    let in_flight = service.try_open().unwrap();
+    let mut doc = Document::new(handle.load(), ServiceLimits::default());
     // Half the document arrives…
-    let _ = service.feed_bytes(in_flight, b"<doc><title/>");
+    let _ = doc.feed_bytes(b"<doc><title/>");
 
     // …then v2 is published mid-flight.
     let v2 = build(V2_DTD);
     assert_eq!(handle.publish(Arc::clone(&v2)), 1);
     assert_eq!(handle.epoch(), 1);
-    service.swap_schema(handle.load());
 
     // The in-flight document still completes validly against v1.
-    let _ = service.feed_bytes(in_flight, b"<author/></doc>");
-    assert!(service.finish(in_flight).is_ok());
+    let _ = doc.feed_bytes(b"<author/></doc>");
+    assert!(doc.finish().is_ok());
 
-    // A post-publish open binds v2 and rejects the same bytes.
-    let reopened = service.try_open().unwrap();
-    let _ = service.feed_bytes(reopened, V1_DOC);
-    let rejection = service.finish(reopened).unwrap_err();
+    // A post-publish document binds v2 and rejects the same bytes.
+    rebind(&mut doc, handle.load());
+    let _ = doc.feed_bytes(V1_DOC);
+    let rejection = doc.finish().unwrap_err();
     assert_eq!(rejection.code(), Code::IncompleteElement);
 
     // The event feed (interned against v2) reports the byte-identical
@@ -104,29 +110,26 @@ fn old_artifact_drops_with_its_last_handle() {
             .unwrap(),
     );
 
-    let mut service = router.current(route).service();
-    let in_flight = service.try_open().unwrap();
-    let _ = service.feed_bytes(in_flight, b"<doc>");
+    let mut doc = Document::new(router.current(route), ServiceLimits::default());
+    let _ = doc.feed_bytes(b"<doc>");
 
     router.publish("doc", build(V2_DTD)).unwrap();
-    service.swap_schema(router.current(route));
 
-    // Holders of v1 while the swapped service still validates the
-    // in-flight doc: this test's `v1` binding plus the document's own
-    // validator clone.
+    // Holders of v1 while the document is still in flight: this test's
+    // `v1` binding plus the document's own validator clone.
     let held_while_in_flight = Arc::strong_count(&v1);
-    let _ = service.feed_bytes(in_flight, b"<title/><author/></doc>");
-    assert!(service.finish(in_flight).is_ok());
+    let _ = doc.feed_bytes(b"<title/><author/></doc>");
+    assert!(doc.finish().is_ok());
 
-    // Finishing released the validator's clone — nothing in the service
-    // (spare list included) still references v1.
+    // Rebinding for the next request released the validator's clone —
+    // nothing still references v1.
+    rebind(&mut doc, router.current(route));
     assert_eq!(Arc::strong_count(&v1), held_while_in_flight - 1);
 
-    // New opens allocate against v2 only.
-    let reopened = service.try_open().unwrap();
+    // New documents bind v2 only.
+    rebind(&mut doc, router.current(route));
     let count_after_reopen = Arc::strong_count(&v1);
     assert_eq!(count_after_reopen, held_while_in_flight - 1);
-    service.close(reopened);
 }
 
 #[test]
@@ -166,6 +169,9 @@ fn swap_verdicts_are_byte_identical_over_tcp() {
         .write_all(format!("V doc {}\n<doc><title/>", V1_DOC.len()).as_bytes())
         .unwrap();
     stalled.flush().unwrap();
+    // A's document binds the schema current when its thread reads the
+    // header; give that thread time to do so before v2 is published.
+    thread::sleep(Duration::from_millis(200));
 
     // Connection B publishes v2 and waits for the ok — after this line the
     // swap has happened inside the poll loop.

@@ -426,8 +426,9 @@ fn rejected_handles_consume_no_further_work() {
         service.feed(doc, &[DocEvent::Open(chapter), DocEvent::Open(locator)]),
         FeedStatus::Rejected
     );
-    let retained = render(service.diagnostic(doc).expect("rejected"));
-    let depth = service.depth(doc);
+    let document = service.get(doc).expect("open");
+    let retained = render(document.diagnostic().expect("rejected"));
+    let depth = document.depth();
     // Feeding a rejected handle is a no-op: no frames move, the retained
     // diagnostic never changes, and the status stays Rejected.
     for _ in 0..8 {
@@ -437,7 +438,8 @@ fn rejected_handles_consume_no_further_work() {
         );
         assert_eq!(service.feed_bytes(doc, b"<chapter/>"), FeedStatus::Rejected);
     }
-    assert_eq!(service.depth(doc), depth);
-    assert_eq!(render(service.diagnostic(doc).expect("rejected")), retained);
+    let document = service.get(doc).expect("open");
+    assert_eq!(document.depth(), depth);
+    assert_eq!(render(document.diagnostic().expect("rejected")), retained);
     assert_eq!(render_result(&service.finish(doc)), retained);
 }
