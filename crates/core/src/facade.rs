@@ -1,7 +1,7 @@
-//! High-level entry point: a thin driver over the compilation
-//! [`Pipeline`](crate::pipeline::Pipeline) that picks a matching algorithm
-//! and validates words — in whole-word form or one symbol at a time through
-//! the flat stepping interface.
+//! High-level entry point: a thin layer over the compilation pipeline
+//! ([`CompiledAnalysis`]) that picks a matching algorithm and validates
+//! words — in whole-word form or one symbol at a time through the flat
+//! stepping interface.
 //!
 //! All the heavy lifting — interning, parsing, normalization, the shared
 //! parse-tree analysis, determinism certification — happens once in the
@@ -9,7 +9,9 @@
 //! only chooses a strategy and builds the (cheap) strategy-specific
 //! structures on top of the artifact. Consequently, switching strategies on
 //! an already-compiled expression ([`DeterministicRegex::with_strategy`])
-//! never re-parses or re-analyzes.
+//! never re-parses or re-analyzes, and a schema's models, compiled with
+//! [`CompiledAnalysis::from_parsed`] over one shared alphabet, attach here
+//! through [`DeterministicRegex::from_compiled`].
 //!
 //! # Stepping a content model
 //!
@@ -123,21 +125,6 @@ impl DeterministicRegex {
     /// Like [`Self::compile`] with an explicit matching strategy.
     pub fn compile_with(input: &str, strategy: MatchStrategy) -> Result<Self, Diagnostic> {
         Self::from_compiled(CompiledAnalysis::compile(input)?, strategy)
-    }
-
-    /// Compiles an already-built AST (sharing an alphabet with other content
-    /// models of the same schema).
-    pub fn from_regex(regex: Regex, alphabet: Alphabet) -> Result<Self, Diagnostic> {
-        Self::from_regex_with(regex, alphabet, MatchStrategy::Auto)
-    }
-
-    /// Like [`Self::from_regex`] with an explicit matching strategy.
-    pub fn from_regex_with(
-        regex: Regex,
-        alphabet: Alphabet,
-        strategy: MatchStrategy,
-    ) -> Result<Self, Diagnostic> {
-        Self::from_compiled(CompiledAnalysis::from_regex(regex, alphabet)?, strategy)
     }
 
     /// Attaches a matcher to a shared pipeline artifact. This is the only

@@ -16,7 +16,8 @@
 //!   star-free multi-word matching (Theorem 4.12);
 //! * [`pipeline`] — the staged compiler (intern + parse → normalize →
 //!   analyze → certify) producing the shared [`CompiledAnalysis`] artifact
-//!   every matcher is constructed from;
+//!   every matcher is constructed from (a schema's models share one
+//!   `Arc<Alphabet>`);
 //! * [`DeterministicRegex`] — a thin facade over the pipeline that picks a
 //!   matching strategy and validates words;
 //! * [`bytescan`] — dependency-free `memchr`-style SWAR byte search, the
@@ -50,5 +51,5 @@ pub use matcher::kocc::KOccurrenceMatcher;
 pub use matcher::pathdecomp::PathDecompositionMatcher;
 pub use matcher::starfree::{BatchScratch, StarFreeMatcher};
 pub use matcher::{PositionMatcher, TransitionSim};
-pub use pipeline::{CompiledAnalysis, Pipeline};
+pub use pipeline::CompiledAnalysis;
 pub use skeleton::{ColorAssignment, Skeleta, Skeleton};

@@ -10,7 +10,7 @@
 
 use crate::determinism::DeterminismCertificate;
 use crate::matcher::TransitionSim;
-use redet_structures::{ColoredAncestors, PredecessorBackend};
+use redet_structures::ColoredAncestors;
 use redet_syntax::Symbol;
 use redet_tree::{PosId, TreeAnalysis};
 use std::sync::Arc;
@@ -57,21 +57,7 @@ impl ColoredAncestorMatcher {
     /// contains the colors and skeleta — the only additional preprocessing
     /// is the colored-ancestor structure).
     pub fn new(analysis: Arc<TreeAnalysis>, certificate: Arc<DeterminismCertificate>) -> Self {
-        Self::with_backend(analysis, certificate, PredecessorBackend::BinarySearch)
-    }
-
-    /// Builds the matcher with an explicit predecessor backend for the
-    /// colored-ancestor structure.
-    pub fn with_backend(
-        analysis: Arc<TreeAnalysis>,
-        certificate: Arc<DeterminismCertificate>,
-        backend: PredecessorBackend,
-    ) -> Self {
-        let colored = ColoredAncestors::build_with_backend(
-            analysis.tree(),
-            &certificate.colors().node_colors(),
-            backend,
-        );
+        let colored = ColoredAncestors::build(analysis.tree(), &certificate.colors().node_colors());
         ColoredAncestorMatcher {
             analysis,
             certificate,
@@ -113,27 +99,16 @@ mod tests {
     use crate::matcher::PositionMatcher;
     use redet_syntax::parse_with_alphabet;
 
-    fn build(e: &redet_syntax::Regex, backend: PredecessorBackend) -> ColoredAncestorMatcher {
+    fn build(e: &redet_syntax::Regex) -> ColoredAncestorMatcher {
         let analysis = Arc::new(TreeAnalysis::build(e));
         let certificate = Arc::new(check_determinism(&analysis).expect("deterministic"));
-        ColoredAncestorMatcher::with_backend(analysis, certificate, backend)
+        ColoredAncestorMatcher::new(analysis, certificate)
     }
 
     #[test]
     fn agrees_with_glushkov_dfa_binary_search() {
         for input in DETERMINISTIC_EXPRESSIONS {
-            assert_agrees_with_baseline(input, 5, |e| {
-                PositionMatcher::new(build(e, PredecessorBackend::BinarySearch))
-            });
-        }
-    }
-
-    #[test]
-    fn agrees_with_glushkov_dfa_veb() {
-        for input in DETERMINISTIC_EXPRESSIONS {
-            assert_agrees_with_baseline(input, 4, |e| {
-                PositionMatcher::new(build(e, PredecessorBackend::Veb))
-            });
+            assert_agrees_with_baseline(input, 5, |e| PositionMatcher::new(build(e)));
         }
     }
 
@@ -145,7 +120,7 @@ mod tests {
         // that follows p5."
         let mut sigma = redet_syntax::Alphabet::new();
         let e = parse_with_alphabet("(c?((a b*)(a? c)))*(b a)", &mut sigma).unwrap();
-        let m = build(&e, PredecessorBackend::BinarySearch);
+        let m = build(&e);
         let c = sigma.lookup("c").unwrap();
         let a = sigma.lookup("a").unwrap();
         let b = sigma.lookup("b").unwrap();

@@ -4,16 +4,16 @@
 //! preprocessing: the interned alphabet, the normalized AST, the parse tree
 //! with its LCA/`SupFirst`/`SupLast` machinery ([`TreeAnalysis`]), and — for
 //! counting-free expressions — the determinism certificate with its colors
-//! and per-symbol skeleta. Before this module existed each matcher (and each
-//! benchmark) re-derived parts of that preprocessing on its own, multiplying
-//! the paper's linear bound by the number of consumers.
+//! and per-symbol skeleta. [`CompiledAnalysis`] runs the stages exactly once
+//! per expression:
 //!
-//! [`Pipeline`] runs the stages exactly once per expression:
-//!
-//! 1. **intern + parse** — symbols are interned into dense `u32` ids by the
-//!    pipeline-owned [`Alphabet`] (shared across all content models of a
-//!    schema), the textual syntax is parsed, and the byte span of every
-//!    position is recorded so diagnostics can point back into the source;
+//! 1. **intern + parse** — symbols are interned into dense `u32` ids by an
+//!    [`Alphabet`], the textual syntax is parsed, and the byte span of every
+//!    position is recorded so diagnostics can point back into the source.
+//!    [`CompiledAnalysis::compile`] parses into a fresh alphabet; a schema
+//!    parses all of its content models into one alphabet, freezes it into
+//!    one `Arc`, and hands that `Arc` to [`CompiledAnalysis::from_parsed`]
+//!    for every model, so all models share one string ↔ symbol map;
 //! 2. **normalize** — the structural restrictions (R2)/(R3) are enforced so
 //!    the parse tree is linear in the number of positions, and the
 //!    structural statistics ([`ExprStats`]) are computed;
@@ -40,9 +40,7 @@ use crate::counting::check_counting_determinism;
 use crate::determinism::{check_determinism, DeterminismCertificate, NonDeterminism};
 use crate::diagnostics::{Code, ConflictWitness, Diagnostic};
 use redet_automata::NfaSimulationMatcher;
-use redet_syntax::{
-    normalize, parse_spanned_with_alphabet, Alphabet, ExprStats, Regex, Span, Symbol,
-};
+use redet_syntax::{normalize, parse_spanned, Alphabet, ExprStats, Regex, Span, Symbol};
 use redet_tree::TreeAnalysis;
 use std::sync::Arc;
 
@@ -64,7 +62,8 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug)]
 pub struct CompiledAnalysis {
-    alphabet: Alphabet,
+    /// The string ↔ symbol map; one `Arc` shared by every model of a schema.
+    alphabet: Arc<Alphabet>,
     regex: Regex,
     stats: ExprStats,
     analysis: Arc<TreeAnalysis>,
@@ -84,20 +83,59 @@ pub struct CompiledAnalysis {
 
 impl CompiledAnalysis {
     /// Runs the full pipeline on a textual content model with a fresh
-    /// alphabet. Equivalent to `Pipeline::new().compile(input)`.
+    /// alphabet.
     pub fn compile(input: &str) -> Result<Arc<Self>, Diagnostic> {
-        Pipeline::new().compile(input)
+        // Stage 1: intern + parse, keeping per-position source spans.
+        let (regex, alphabet, spans) = parse_spanned(input)?;
+        Self::from_parsed(regex, spans, input.to_owned(), Arc::new(alphabet))
+    }
+
+    /// Runs the normalize → analyze → certify stages on a content model
+    /// already parsed from `source` (with
+    /// [`redet_syntax::parse_spanned_with_alphabet`]) into `alphabet`, which
+    /// the artifact shares rather than copies. `spans` are the parser's
+    /// per-position byte spans into `source`.
+    ///
+    /// ```
+    /// use redet_core::pipeline::CompiledAnalysis;
+    /// use redet_syntax::{parse_spanned_with_alphabet, Alphabet};
+    /// use std::sync::Arc;
+    ///
+    /// let sources = ["(title, author+, year?)", "(title, author+, journal)"];
+    /// let mut alphabet = Alphabet::new();
+    /// let parsed: Vec<_> = sources
+    ///     .iter()
+    ///     .map(|source| parse_spanned_with_alphabet(source, &mut alphabet).unwrap())
+    ///     .collect();
+    /// let alphabet = Arc::new(alphabet);
+    /// let models: Vec<_> = parsed
+    ///     .into_iter()
+    ///     .zip(sources)
+    ///     .map(|((regex, spans), source)| {
+    ///         CompiledAnalysis::from_parsed(regex, spans, source.into(), alphabet.clone()).unwrap()
+    ///     })
+    ///     .collect();
+    /// // Both models read the one alphabet: "title" is one symbol in both.
+    /// assert!(std::ptr::eq(models[0].alphabet(), models[1].alphabet()));
+    /// ```
+    pub fn from_parsed(
+        regex: Regex,
+        spans: Vec<Span>,
+        source: String,
+        alphabet: Arc<Alphabet>,
+    ) -> Result<Arc<Self>, Diagnostic> {
+        Self::from_parts(regex, alphabet, Some(source), Some(spans))
     }
 
     /// Runs the normalize → analyze → certify stages on an already-parsed
     /// AST and its alphabet.
     pub fn from_regex(regex: Regex, alphabet: Alphabet) -> Result<Arc<Self>, Diagnostic> {
-        Self::from_parts(regex, alphabet, None, None)
+        Self::from_parts(regex, Arc::new(alphabet), None, None)
     }
 
     fn from_parts(
         regex: Regex,
-        alphabet: Alphabet,
+        alphabet: Arc<Alphabet>,
         source: Option<String>,
         spans: Option<Vec<Span>>,
     ) -> Result<Arc<Self>, Diagnostic> {
@@ -243,69 +281,6 @@ pub(crate) fn diagnose_conflict(
     diag
 }
 
-/// The staged compiler driver.
-///
-/// A `Pipeline` owns the schema-wide [`Alphabet`], so compiling several
-/// content models of the same schema through one pipeline interns every
-/// element name exactly once and gives all models a consistent dense symbol
-/// space:
-///
-/// ```
-/// use redet_core::pipeline::Pipeline;
-///
-/// let mut pipeline = Pipeline::new();
-/// let book = pipeline.compile("(title, author+, year?)").unwrap();
-/// let article = pipeline.compile("(title, author+, journal)").unwrap();
-/// // "title" means the same symbol in both models.
-/// assert_eq!(
-///     book.alphabet().lookup("title"),
-///     article.alphabet().lookup("title"),
-/// );
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Pipeline {
-    alphabet: Alphabet,
-}
-
-impl Pipeline {
-    /// Creates a pipeline with an empty alphabet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a pipeline seeded with an existing alphabet (e.g. the element
-    /// names of a schema, interned up front).
-    pub fn with_alphabet(alphabet: Alphabet) -> Self {
-        Pipeline { alphabet }
-    }
-
-    /// The symbols interned so far across all compiled models.
-    pub fn alphabet(&self) -> &Alphabet {
-        &self.alphabet
-    }
-
-    /// Interns `name` into the pipeline's alphabet ahead of any model that
-    /// mentions it. Pre-interning every element name of a schema gives all
-    /// models a complete symbol space regardless of declaration order.
-    pub fn intern(&mut self, name: &str) -> Symbol {
-        self.alphabet.intern(name)
-    }
-
-    /// Runs all four stages on a textual content model, producing the shared
-    /// artifact. Symbols are interned into the pipeline's alphabet; the
-    /// artifact holds a snapshot of the alphabet as of this compilation.
-    pub fn compile(&mut self, input: &str) -> Result<Arc<CompiledAnalysis>, Diagnostic> {
-        // Stage 1: intern + parse, keeping per-position source spans.
-        let (regex, spans) = parse_spanned_with_alphabet(input, &mut self.alphabet)?;
-        CompiledAnalysis::from_parts(
-            regex,
-            self.alphabet.clone(),
-            Some(input.to_owned()),
-            Some(spans),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,28 +337,6 @@ mod tests {
         // tree (this used to panic the (R2)/(R3) assertion).
         let compiled = CompiledAnalysis::compile("(a?){2,3}").unwrap();
         assert!(compiled.counted_simulation().is_some());
-    }
-
-    #[test]
-    fn pipeline_shares_the_alphabet_across_models() {
-        let mut pipeline = Pipeline::new();
-        let first = pipeline.compile("(title, author+)").unwrap();
-        let second = pipeline.compile("(author, title?)").unwrap();
-        assert_eq!(
-            first.alphabet().lookup("author"),
-            second.alphabet().lookup("author")
-        );
-        // The earlier artifact's snapshot does not see later symbols.
-        let mut pipeline = Pipeline::new();
-        let small = pipeline.compile("a").unwrap();
-        pipeline.compile("a b").unwrap();
-        assert_eq!(small.alphabet().len(), 1);
-        // Unless the names were pre-interned, which a schema builder does.
-        let mut pipeline = Pipeline::new();
-        pipeline.intern("a");
-        pipeline.intern("b");
-        let seeded = pipeline.compile("a").unwrap();
-        assert_eq!(seeded.alphabet().len(), 2);
     }
 
     #[test]

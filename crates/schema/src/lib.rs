@@ -8,9 +8,9 @@
 //!
 //! * [`SchemaBuilder`] collects element and attribute declarations —
 //!   programmatically or from a DTD fragment (`<!ELEMENT …>` and
-//!   `<!ATTLIST …>` lines) — and compiles every content model through
-//!   **one** shared [`redet_core::Pipeline`]/[`Alphabet`], so every
-//!   element *and attribute* name is interned exactly once and all models
+//!   `<!ATTLIST …>` lines) — and interns every element *and attribute*
+//!   name exactly once into **one** [`Alphabet`], which the schema and
+//!   every compiled content model share behind one [`Arc`], so all models
 //!   agree on dense symbol ids; per-element flat attribute tables record
 //!   which attributes are declared and which are `#REQUIRED`, and mixed
 //!   content (`#PCDATA`/`ANY`) records where character data is allowed;
@@ -81,10 +81,9 @@ pub use tokenizer::{Tag, Tokenizer};
 pub use validator::{DocEvent, DocumentValidator};
 
 use crate::dtd::{parse_dtd_fragment, ParsedContent};
-use redet_core::{Code, DeterministicRegex, Diagnostic, MatchStrategy, Pipeline};
-use redet_syntax::{Alphabet, Span, Symbol};
+use redet_core::{Code, CompiledAnalysis, DeterministicRegex, Diagnostic, MatchStrategy};
+use redet_syntax::{parse_spanned_with_alphabet, Alphabet, Regex, Span, Symbol};
 use redet_tree::PosId;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// How an element's content is declared.
@@ -291,8 +290,8 @@ impl NameIndex {
     }
 }
 
-/// An immutable compiled schema: every content model compiled through one
-/// shared pipeline, per-element strategies selected automatically,
+/// An immutable compiled schema: every content model compiled over one
+/// shared alphabet, per-element strategies selected automatically,
 /// determinism certificates retained. `Send + Sync` — one `Arc<Schema>` can
 /// serve many validator threads.
 ///
@@ -311,7 +310,8 @@ impl NameIndex {
 /// assert!(schema.model(left).is_none());
 /// ```
 pub struct Schema {
-    alphabet: Alphabet,
+    /// The one string ↔ symbol map, shared by every content model.
+    alphabet: Arc<Alphabet>,
     /// Dense per-symbol content table (index = `Symbol::index()`).
     content: Vec<Content>,
     /// Flat per-symbol dispatch table (index = `Symbol::index()`) — the
@@ -378,7 +378,8 @@ impl Schema {
         self.alphabet.name(sym)
     }
 
-    /// The schema-wide alphabet (declared and referenced element names).
+    /// The schema-wide alphabet (element and attribute names): the one
+    /// object every content model's [`DeterministicRegex::alphabet`] returns.
     pub fn alphabet(&self) -> &Alphabet {
         &self.alphabet
     }
@@ -692,25 +693,27 @@ impl SchemaBuilder {
         self
     }
 
-    /// Compiles every declaration through one shared pipeline into an
-    /// immutable [`Schema`]. On failure returns **all** diagnostics, each
-    /// carrying its code, source span, and (for determinism conflicts) the
-    /// witness positions.
+    /// Compiles every declaration into an immutable [`Schema`] whose
+    /// content models all share the schema's one [`Alphabet`]. On failure
+    /// returns **all** diagnostics — pending DTD errors first, then each
+    /// declaration's duplicate, parse or determinism error in declaration
+    /// order, then attribute-cap errors — each carrying its code, source
+    /// span, and (for determinism conflicts) the witness positions.
     pub fn build(self) -> Result<Arc<Schema>, Vec<Diagnostic>> {
-        let mut diagnostics = self.pending;
-        let mut pipeline = Pipeline::new();
+        let mut alphabet = Alphabet::new();
         // Pre-intern every declared name: models may reference elements
         // declared later and still share the complete dense symbol space.
         for decl in &self.decls {
-            pipeline.intern(&decl.name);
+            alphabet.intern(&decl.name);
         }
 
-        let mut compiled: Vec<(Symbol, Content)> = Vec::with_capacity(self.decls.len());
-        let mut text_decls: Vec<(Symbol, bool)> = Vec::with_capacity(self.decls.len());
-        let mut seen: HashSet<Symbol> = HashSet::with_capacity(self.decls.len());
+        // Parse every model in declaration order, interning its names into
+        // the one alphabet; the analysis waits until the alphabet is frozen.
+        let mut seen = vec![false; alphabet.len()];
+        let mut slots: Vec<Slot> = Vec::with_capacity(self.decls.len());
         for decl in &self.decls {
-            let sym = pipeline.intern(&decl.name);
-            if !seen.insert(sym) {
+            let sym = alphabet.intern(&decl.name);
+            if std::mem::replace(&mut seen[sym.index()], true) {
                 let mut diag = Diagnostic::new(
                     Code::DuplicateElement,
                     format!("element '{}' is declared more than once", decl.name),
@@ -718,40 +721,18 @@ impl SchemaBuilder {
                 if let Some(span) = decl.name_span {
                     diag = diag.with_span(span);
                 }
-                diagnostics.push(diag);
+                slots.push(Slot::Failed(diag));
                 continue;
             }
-            text_decls.push((
-                sym,
-                matches!(
-                    &decl.content,
-                    ParsedContent::Any
-                        | ParsedContent::Empty { text: true }
-                        | ParsedContent::Model { mixed: true, .. }
-                ),
-            ));
-            let content = match &decl.content {
-                ParsedContent::Empty { .. } => Content::Empty,
-                ParsedContent::Any => Content::Any,
+            slots.push(match &decl.content {
                 ParsedContent::Model { source, offset, .. } => {
-                    match pipeline
-                        .compile(source)
-                        .and_then(|artifact| {
-                            DeterministicRegex::from_compiled(artifact, MatchStrategy::Auto)
-                        })
-                        .map_err(|diag| {
-                            diag.offset_spans(*offset)
-                                .with_context(&format!("in the content model of <{}>", decl.name))
-                        }) {
-                        Ok(model) => Content::Model(model),
-                        Err(diag) => {
-                            diagnostics.push(diag);
-                            continue;
-                        }
+                    match parse_spanned_with_alphabet(source, &mut alphabet) {
+                        Ok((regex, spans)) => Slot::Parsed(sym, regex, spans),
+                        Err(err) => Slot::Failed(in_model(err.into(), *offset, &decl.name)),
                     }
                 }
-            };
-            compiled.push((sym, content));
+                _ => Slot::Fixed(sym),
+            });
         }
 
         // Merge the attribute lists per element (several <!ATTLIST>s for
@@ -759,9 +740,10 @@ impl SchemaBuilder {
         // name wins, per XML) and intern every attribute name into the
         // shared alphabet so `feed_bytes` resolves them through the same
         // packed-key index as element names.
+        let mut attr_diagnostics = Vec::new();
         let mut merged: Vec<(Symbol, Vec<(Symbol, bool)>)> = Vec::new();
         for attlist in &self.attlists {
-            let elem = pipeline.intern(&attlist.element);
+            let elem = alphabet.intern(&attlist.element);
             let list = match merged.iter_mut().find(|(sym, _)| *sym == elem) {
                 Some((_, list)) => list,
                 None => {
@@ -770,7 +752,7 @@ impl SchemaBuilder {
                 }
             };
             for attr in &attlist.attrs {
-                let sym = pipeline.intern(&attr.name);
+                let sym = alphabet.intern(&attr.name);
                 if list.iter().any(|(s, _)| *s == sym) {
                     continue; // first declaration wins
                 }
@@ -786,27 +768,64 @@ impl SchemaBuilder {
                     if let Some(span) = attr.name_span.or(attlist.element_span) {
                         diag = diag.with_span(span);
                     }
-                    diagnostics.push(diag);
+                    attr_diagnostics.push(diag);
                     break;
                 }
                 list.push((sym, attr.required));
             }
         }
 
+        // Every name is interned: freeze the alphabet, and analyze each
+        // parsed model over that one shared `Arc`.
+        let alphabet = Arc::new(alphabet);
+        let mut diagnostics = self.pending;
+        let mut compiled: Vec<(Symbol, Content, bool)> = Vec::with_capacity(slots.len());
+        for (decl, slot) in self.decls.into_iter().zip(slots) {
+            let (sym, content, text) = match (slot, decl.content) {
+                (Slot::Failed(diag), _) => {
+                    diagnostics.push(diag);
+                    continue;
+                }
+                (Slot::Fixed(sym), ParsedContent::Empty { text }) => (sym, Content::Empty, text),
+                (Slot::Fixed(sym), ParsedContent::Any) => (sym, Content::Any, true),
+                (
+                    Slot::Parsed(sym, regex, spans),
+                    ParsedContent::Model {
+                        source,
+                        offset,
+                        mixed,
+                    },
+                ) => {
+                    let model =
+                        CompiledAnalysis::from_parsed(regex, spans, source, alphabet.clone())
+                            .and_then(|artifact| {
+                                DeterministicRegex::from_compiled(artifact, MatchStrategy::Auto)
+                            });
+                    match model {
+                        Ok(model) => (sym, Content::Model(model), mixed),
+                        Err(diag) => {
+                            diagnostics.push(in_model(diag, offset, &decl.name));
+                            continue;
+                        }
+                    }
+                }
+                _ => unreachable!("a slot is parsed exactly when its declaration has a model"),
+            };
+            compiled.push((sym, content, text));
+        }
+        diagnostics.extend(attr_diagnostics);
+
         if !diagnostics.is_empty() {
             return Err(diagnostics);
         }
 
-        let alphabet = pipeline.alphabet().clone();
         let mut content: Vec<Content> = (0..alphabet.len()).map(|_| Content::Undeclared).collect();
         let mut declared = Vec::with_capacity(compiled.len());
-        for (sym, c) in compiled {
-            content[sym.index()] = c;
-            declared.push(sym);
-        }
         let mut text_ok = vec![false; alphabet.len()];
-        for (sym, text) in text_decls {
+        for (sym, c, text) in compiled {
+            content[sym.index()] = c;
             text_ok[sym.index()] = text;
+            declared.push(sym);
         }
         let mut attrs = Vec::new();
         let mut attr_ranges = vec![(0u32, 0u32); alphabet.len()];
@@ -861,6 +880,24 @@ impl SchemaBuilder {
     }
 }
 
+/// One declaration between the parse of its content model and the freeze
+/// of the schema's shared alphabet.
+enum Slot {
+    /// A duplicate or unparsable declaration.
+    Failed(Diagnostic),
+    /// `EMPTY`, `(#PCDATA)` or `ANY` content: nothing to analyze.
+    Fixed(Symbol),
+    /// A parsed content model with its per-position source spans.
+    Parsed(Symbol, Regex, Vec<Span>),
+}
+
+/// Rebases a content-model diagnostic onto the DTD source and names the
+/// element whose model it is.
+fn in_model(diag: Diagnostic, offset: usize, element: &str) -> Diagnostic {
+    diag.offset_spans(offset)
+        .with_context(&format!("in the content model of <{element}>"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,20 +918,69 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(schema.len(), 2);
-        // "title" means the same symbol in both models — and both models'
-        // snapshots contain the declared names, whatever the order.
+        // "title" means the same symbol in both models, and every model
+        // reads the schema's one alphabet rather than a copy of it.
         let title = schema.lookup("title").unwrap();
-        let book = schema.lookup("book").unwrap();
-        let article = schema.lookup("article").unwrap();
-        assert_eq!(
-            schema.model(book).unwrap().alphabet().lookup("title"),
-            Some(title)
-        );
-        assert_eq!(
-            schema.model(article).unwrap().alphabet().lookup("title"),
-            Some(title)
-        );
+        for sym in schema.elements() {
+            let model = schema.model(sym).unwrap();
+            assert_eq!(model.alphabet().lookup("title"), Some(title));
+            assert!(std::ptr::eq(schema.alphabet(), model.alphabet()));
+        }
         assert_eq!(schema.content_kind(title), ContentKind::Undeclared);
+    }
+
+    #[test]
+    fn symbol_ids_follow_declaration_then_model_then_attribute_order() {
+        // Declared names first, then each model's new names in declaration
+        // order (the forward reference `sec` keeps its declared id), then
+        // attribute names.
+        let schema = SchemaBuilder::new()
+            .parse_dtd(
+                "<!ELEMENT doc (sec*, back?)> <!ELEMENT sec (title, para*)> \
+                 <!ATTLIST sec id CDATA #REQUIRED>",
+            )
+            .build()
+            .unwrap();
+        let names: Vec<&str> = schema.alphabet().iter().map(|(_, name)| name).collect();
+        assert_eq!(names, ["doc", "sec", "back", "title", "para", "id"]);
+    }
+
+    #[test]
+    fn build_diagnostics_follow_declaration_order() {
+        let codes = |builder: SchemaBuilder| -> Vec<Code> {
+            builder
+                .build()
+                .unwrap_err()
+                .iter()
+                .map(|d| d.code())
+                .collect()
+        };
+        assert_eq!(
+            codes(
+                SchemaBuilder::new()
+                    .element("broken", "a b* b")
+                    .element("unparsable", "(a,")
+            ),
+            [Code::NotDeterministic, Code::Parse]
+        );
+        assert_eq!(
+            codes(
+                SchemaBuilder::new()
+                    .element("unparsable", "(a,")
+                    .element("broken", "a b* b")
+            ),
+            [Code::Parse, Code::NotDeterministic]
+        );
+        // The registry answers with the first diagnostic of the list.
+        let first = |dtd: &str| Registry::build(dtd).unwrap_err().code();
+        assert_eq!(
+            first("<!ELEMENT broken (a, b*, b)> <!ELEMENT unparsable (a,)>"),
+            Code::NotDeterministic
+        );
+        assert_eq!(
+            first("<!ELEMENT unparsable (a,)> <!ELEMENT broken (a, b*, b)>"),
+            Code::Parse
+        );
     }
 
     #[test]
@@ -907,8 +993,8 @@ mod tests {
             .unwrap();
         let doc = schema.lookup("doc").unwrap();
         let section = schema.lookup("section").unwrap();
-        // The `doc` model was compiled before `section` was processed, yet
-        // its alphabet snapshot knows the symbol (pre-interning).
+        // The `doc` model was parsed before `section`'s model, yet it knows
+        // the symbol: every model shares the schema's finished alphabet.
         assert!(schema
             .model(doc)
             .unwrap()

@@ -13,31 +13,19 @@
 //!
 //! * per color, the colored nodes are kept sorted by preorder number; the
 //!   query first finds the colored node `v` with the largest preorder
-//!   `≤ pre(p)` (a predecessor query — binary search or [`VebSet`],
-//!   selectable via [`PredecessorBackend`]);
+//!   `≤ pre(p)` (a predecessor query, answered by binary search);
 //! * every colored ancestor of `p` is then an ancestor-or-self of `v`, so
 //!   the answer is the nearest node on `v`'s same-color ancestor chain whose
 //!   subtree interval still contains `p` — found with binary lifting over
 //!   precomputed same-color parent pointers.
 //!
 //! Queries therefore cost `O(log k_a)` (`k_a` = number of `a`-colored
-//! nodes), which is `O(log |e|)` worst case; see DESIGN.md for why this
-//! substitution does not affect any qualitative claim reproduced in
-//! EXPERIMENTS.md.
+//! nodes), which is `O(log |e|)` worst case; see DESIGN.md ("Substitution
+//! ¹") for why this substitution does not affect any qualitative claim the
+//! benchmarks reproduce.
 
-use crate::veb::VebSet;
 use redet_syntax::Symbol;
 use redet_tree::{NodeId, ParseTree};
-
-/// Which predecessor structure the per-color search uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PredecessorBackend {
-    /// Binary search over a sorted array of preorder numbers.
-    #[default]
-    BinarySearch,
-    /// A van Emde Boas set per color (`O(log log |e|)` predecessor).
-    Veb,
-}
 
 /// Per-color data: colored nodes sorted by preorder, same-color parent
 /// pointers and binary-lifting tables.
@@ -51,31 +39,17 @@ struct ColorClass {
     /// Binary lifting table: `up[k][i]` = 2^k-th same-color ancestor of
     /// `nodes[i]` (`u32::MAX` when it does not exist).
     up: Vec<Vec<u32>>,
-    /// Optional vEB set over the preorder numbers of `nodes`.
-    veb: Option<VebSet>,
 }
 
 /// The lowest-colored-ancestor structure over a [`ParseTree`].
 #[derive(Clone, Debug)]
 pub struct ColoredAncestors {
     classes: Vec<Option<ColorClass>>,
-    backend: PredecessorBackend,
-    total_assignments: usize,
 }
 
 impl ColoredAncestors {
-    /// Builds the structure from a list of `(node, color)` assignments,
-    /// using binary-search predecessor queries.
+    /// Builds the structure from a list of `(node, color)` assignments.
     pub fn build(tree: &ParseTree, assignments: &[(NodeId, Symbol)]) -> Self {
-        Self::build_with_backend(tree, assignments, PredecessorBackend::BinarySearch)
-    }
-
-    /// Builds the structure with an explicit predecessor backend.
-    pub fn build_with_backend(
-        tree: &ParseTree,
-        assignments: &[(NodeId, Symbol)],
-        backend: PredecessorBackend,
-    ) -> Self {
         let num_colors = assignments
             .iter()
             .map(|(_, c)| c.index() + 1)
@@ -94,25 +68,11 @@ impl ColoredAncestors {
                 }
                 nodes.sort_unstable();
                 nodes.dedup();
-                Some(ColorClass::build(tree, nodes, backend))
+                Some(ColorClass::build(tree, nodes))
             })
             .collect();
 
-        ColoredAncestors {
-            classes,
-            backend,
-            total_assignments: assignments.len(),
-        }
-    }
-
-    /// The predecessor backend in use.
-    pub fn backend(&self) -> PredecessorBackend {
-        self.backend
-    }
-
-    /// Total number of color assignments the structure was built from.
-    pub fn num_assignments(&self) -> usize {
-        self.total_assignments
+        ColoredAncestors { classes }
     }
 
     /// The lowest ancestor-or-self of `node` carrying `color`, if any.
@@ -147,7 +107,7 @@ impl ColoredAncestors {
 }
 
 impl ColorClass {
-    fn build(tree: &ParseTree, nodes: Vec<NodeId>, backend: PredecessorBackend) -> Self {
+    fn build(tree: &ParseTree, nodes: Vec<NodeId>) -> Self {
         let k = nodes.len();
         // Same-color parent pointers via a stack sweep in preorder: the
         // nearest strict ancestor with the same color is the nearest
@@ -186,47 +146,12 @@ impl ColorClass {
             up.push(row);
         }
 
-        let veb = match backend {
-            PredecessorBackend::BinarySearch => None,
-            PredecessorBackend::Veb => {
-                let max = nodes.last().map(|n| n.index()).unwrap_or(0);
-                let mut set = VebSet::with_capacity(max);
-                for n in &nodes {
-                    set.insert(n.index() as u32);
-                }
-                Some(set)
-            }
-        };
-
-        ColorClass {
-            nodes,
-            parent,
-            up,
-            veb,
-        }
-    }
-
-    /// Index (into `self.nodes`) of the colored node with the largest
-    /// preorder `≤ pre(node)`, if any.
-    fn predecessor_index(&self, node: NodeId) -> Option<usize> {
-        match &self.veb {
-            Some(set) => {
-                let pre = set.predecessor(node.index() as u32)?;
-                Some(
-                    self.nodes
-                        .binary_search(&NodeId::from_index(pre as usize))
-                        .expect("vEB content mirrors the node list"),
-                )
-            }
-            None => {
-                let idx = self.nodes.partition_point(|&v| v <= node);
-                idx.checked_sub(1)
-            }
-        }
+        ColorClass { nodes, parent, up }
     }
 
     fn query(&self, tree: &ParseTree, node: NodeId) -> Option<NodeId> {
-        let mut idx = self.predecessor_index(node)?;
+        // The colored node with the largest preorder `≤ pre(node)`.
+        let mut idx = self.nodes.partition_point(|&v| v <= node).checked_sub(1)?;
         if tree.is_ancestor(self.nodes[idx], node) {
             return Some(self.nodes[idx]);
         }
@@ -273,18 +198,18 @@ mod tests {
         out
     }
 
-    fn check_against_naive(input: &str, colors: usize, seed: u64, backend: PredecessorBackend) {
+    fn check_against_naive(input: &str, colors: usize, seed: u64) {
         let (e, _) = parse(input).unwrap();
         let tree = ParseTree::build(&e);
         let assignments = random_coloring(&tree, colors, seed);
-        let structure = ColoredAncestors::build_with_backend(&tree, &assignments, backend);
+        let structure = ColoredAncestors::build(&tree, &assignments);
         for n in tree.node_ids() {
             for c in 0..colors {
                 let color = Symbol::from_index(c);
                 assert_eq!(
                     structure.lowest_colored_ancestor(&tree, n, color),
                     structure.lowest_colored_ancestor_naive(&tree, n, color),
-                    "query({n:?}, color {c}) on {input} (seed {seed}, {backend:?})"
+                    "query({n:?}, color {c}) on {input} (seed {seed})"
                 );
             }
         }
@@ -301,8 +226,7 @@ mod tests {
             "a? b? c? d? e? f? g? h?",
         ] {
             for seed in 0..5 {
-                check_against_naive(input, 3, seed, PredecessorBackend::BinarySearch);
-                check_against_naive(input, 3, seed, PredecessorBackend::Veb);
+                check_against_naive(input, 3, seed);
             }
         }
     }

@@ -1,35 +1,23 @@
 //! Data-structure substrates used by the linear-time algorithms.
 //!
-//! The paper relies on three auxiliary data structures besides LCA:
+//! Besides LCA (which lives in `redet-tree`), the matchers rely on:
 //!
-//! * **lazy arrays** (Section 4.3) — associative arrays with constant-time
-//!   initialization, assignment, lookup and reset, used to store the `h`
-//!   function of the path-decomposition matcher: [`LazyArray`];
-//! * **van Emde Boas predecessor structures** (\[23\], via
-//!   Muthukrishnan & Müller) — the engine behind `O(log log)` lowest
-//!   colored ancestor queries: [`VebSet`];
 //! * **lowest colored ancestor** queries (Section 4.1) — given a node
 //!   coloring of the parse tree, find the lowest ancestor of a position that
-//!   carries a given color: [`ColoredAncestors`].
-//!
-//! `ColoredAncestors` offers two backends (plain binary search and
-//! vEB-assisted predecessor search); see `DESIGN.md` for the complexity
-//! discussion of this substitution.
-//!
-//! On top of these, [`BatchSkeleta`] implements the paper's **dynamic
-//! LCA-closed skeleta** (Section 4.4): the per-symbol pending structures
-//! that let the star-free batch matcher touch every parked word `O(1)`
-//! times, reaching the `O(|e| + Σ|wᵢ|)` bound of Theorem 4.12.
+//!   carries a given color: [`ColoredAncestors`]. The paper's
+//!   `O(log log |e|)` structure is replaced by per-color binary search plus
+//!   binary lifting (`O(log k_a)`); see `DESIGN.md` for why that
+//!   substitution leaves the reproduced claims intact;
+//! * **dynamic LCA-closed skeleta** (Section 4.4) — [`BatchSkeleta`] keeps the
+//!   per-symbol pending structures that let the star-free batch matcher
+//!   touch every parked word `O(1)` times, reaching the `O(|e| + Σ|wᵢ|)`
+//!   bound of Theorem 4.12.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch_skeleton;
 pub mod colored;
-pub mod lazy_array;
-pub mod veb;
 
 pub use batch_skeleton::BatchSkeleta;
-pub use colored::{ColoredAncestors, PredecessorBackend};
-pub use lazy_array::LazyArray;
-pub use veb::VebSet;
+pub use colored::ColoredAncestors;

@@ -4,7 +4,7 @@
 //! expression is a set of strings rather than single characters. Symbols are
 //! interned into a dense numeric range `0..len`, which is what all the
 //! algorithmic machinery downstream (bucket grouping, per-symbol skeleta,
-//! colored-ancestor structures, lazy arrays) relies on.
+//! colored-ancestor structures) relies on.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -64,10 +64,10 @@
 //! |-------|----------|
 //! | [`syntax`] | alphabet, AST, parser (with source spans), normalizer (restrictions R1–R3) |
 //! | [`tree`] | parse-tree arena, RMQ/LCA, `SupFirst`/`SupLast`, `checkIfFollow` (Thm 2.4) |
-//! | [`structures`] | van Emde Boas sets, lazy arrays, lowest colored ancestor |
+//! | [`structures`] | lowest colored ancestor, the star-free batch matcher's dynamic skeleta |
 //! | [`automata`] | Glushkov construction, baseline determinism test, DFA/NFA matching, the `PosStepper` stepping interface |
 //! | [`core`] | linear-time determinism test (Thm 3.5), counting extension (§3.3), the four matchers (Thms 4.2/4.3/4.10/4.12), diagnostics |
-//! | [`schema`] | `SchemaBuilder`/`Schema` (DTD fragments, shared pipeline), the event-driven `DocumentValidator`, the resumable `Document` stream (raw-byte ingestion, `ServiceLimits` resource governance) and the `ValidationService` handle table over many of them, and the content-hashed schema `Registry` with its `SharedSchema` hot-swap handle |
+//! | [`schema`] | `SchemaBuilder`/`Schema` (DTD fragments, one alphabet shared by every model), the event-driven `DocumentValidator`, the resumable `Document` stream (raw-byte ingestion, `ServiceLimits` resource governance) and the `ValidationService` handle table over many of them, and the content-hashed schema `Registry` with its `SharedSchema` hot-swap handle |
 //!
 //! The most convenient entry points are [`SchemaBuilder`] for whole schemas
 //! and [`DeterministicRegex`] for single expressions; the individual
@@ -89,7 +89,7 @@ pub use redet_core::{
     check_counting_determinism, check_determinism, BatchScratch, Code, ColoredAncestorMatcher,
     CompiledAnalysis, ConflictWitness, DeterminismCertificate, DeterministicRegex, Diagnostic,
     DocLocation, KOccurrenceMatcher, MatchStrategy, NonDeterminism, PathDecompositionMatcher,
-    Pipeline, PositionMatcher, StarFreeMatcher, TransitionSim,
+    PositionMatcher, StarFreeMatcher, TransitionSim,
 };
 pub use redet_schema::{
     ContentKind, DocEvent, DocId, Document, DocumentValidator, FeedStatus, Schema, SchemaBuilder,

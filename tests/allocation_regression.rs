@@ -8,7 +8,8 @@
 //! [`DocumentValidator`] recycles its frame stack and position-set pool
 //! across documents. A counting global allocator enforces this — any `Vec`
 //! growth or hash-map insertion sneaking back into the hot paths fails the
-//! test.
+//! test. The same counter bounds schema compilation: its allocations grow
+//! linearly with the number of declarations.
 //!
 //! Everything runs inside one `#[test]` so no concurrent test thread can
 //! pollute the counter.
@@ -399,5 +400,36 @@ fn steady_state_match_loops_do_not_allocate() {
     assert_eq!(
         allocations, 0,
         "a reused Document allocated in steady state"
+    );
+
+    // --- Schema compilation: allocations linear in the declarations. ---
+    // Every content model shares the schema's one alphabet, so each
+    // declaration costs a bounded number of allocations however many names
+    // the schema has; a per-model copy of the name table would make the
+    // count quadratic. A chain DTD, `<!ELEMENT eI (t, eI+1?)>` for I < n,
+    // must allocate at most 2.2× as much at 2n as at n, and the book DTD
+    // compiles within a fixed budget. The per-thread counter keeps the
+    // count to this thread's own work.
+    let compile_allocations = |dtd: &str| {
+        let (allocations, schema) =
+            thread_allocations_during(|| SchemaBuilder::new().parse_dtd(dtd).build());
+        assert!(schema.is_ok(), "sanity: the DTD compiles");
+        allocations
+    };
+    let chain = |n: usize| -> String {
+        (0..n)
+            .map(|i| format!("<!ELEMENT e{i} (t, e{}?)>\n", i + 1))
+            .collect()
+    };
+    let (small, large) = (chain(1000), chain(2000));
+    let (at_n, at_2n) = (compile_allocations(&small), compile_allocations(&large));
+    assert!(
+        at_2n * 10 <= at_n * 22,
+        "chain DTD compile allocations grew {at_n} → {at_2n} from n = 1000 to 2000 (over 2.2×)"
+    );
+    let book = compile_allocations(workloads::BOOK_DTD);
+    assert!(
+        book <= 2200,
+        "the book DTD compile made {book} allocations (budget 2 200)"
     );
 }
