@@ -16,7 +16,7 @@
 
 use crate::determinism::NonDeterminismWitness;
 use redet_syntax::{Regex, Symbol};
-use redet_tree::{NodeKind, ParseTree, PosId};
+use redet_tree::{NodeId, NodeKind, ParseTree, PosId};
 
 /// The Glushkov automaton of a regular expression, represented by its
 /// per-position `Follow` lists.
@@ -42,40 +42,37 @@ impl GlushkovAutomaton {
         let n = tree.num_nodes();
         let m = tree.num_positions();
 
-        // Bottom-up First/Last/nullable, reusing the preorder id ordering
-        // (children have larger ids than their parent).
+        // Bottom-up First/Last, reusing the preorder id ordering (children
+        // have larger ids than their parent); nullability is the tree's.
         let mut first: Vec<Vec<PosId>> = vec![Vec::new(); n];
         let mut last: Vec<Vec<PosId>> = vec![Vec::new(); n];
-        let mut nullable = vec![false; n];
         let mut follow: Vec<Vec<PosId>> = vec![Vec::new(); m];
 
         for id in (0..n).rev() {
-            let node = redet_tree::NodeId::from_index(id);
+            let node = NodeId::from_index(id);
             match tree.kind(node) {
                 NodeKind::Begin | NodeKind::End | NodeKind::Position(_) => {
                     let p = tree.node_pos(node).expect("leaves are positions");
                     first[id] = vec![p];
                     last[id] = vec![p];
-                    nullable[id] = false;
                 }
                 NodeKind::Concat => {
-                    let l = tree.lchild(node).unwrap().index();
-                    let r = tree.rchild(node).unwrap().index();
+                    let (l, r) = (tree.lchild(node).unwrap(), tree.rchild(node).unwrap());
+                    let (li, ri) = (l.index(), r.index());
                     // Follow contribution: Last(l) × First(r).
-                    for &p in &last[l] {
-                        follow[p.index()].extend_from_slice(&first[r]);
+                    for &p in &last[li] {
+                        follow[p.index()].extend_from_slice(&first[ri]);
                     }
-                    let mut f = first[l].clone();
-                    if nullable[l] {
-                        f.extend_from_slice(&first[r]);
+                    let mut f = first[li].clone();
+                    if tree.nullable(l) {
+                        f.extend_from_slice(&first[ri]);
                     }
-                    let mut la = last[r].clone();
-                    if nullable[r] {
-                        la.extend_from_slice(&last[l]);
+                    let mut la = last[ri].clone();
+                    if tree.nullable(r) {
+                        la.extend_from_slice(&last[li]);
                     }
                     first[id] = f;
                     last[id] = la;
-                    nullable[id] = nullable[l] && nullable[r];
                 }
                 NodeKind::Union => {
                     let l = tree.lchild(node).unwrap().index();
@@ -86,13 +83,11 @@ impl GlushkovAutomaton {
                     la.extend_from_slice(&last[r]);
                     first[id] = f;
                     last[id] = la;
-                    nullable[id] = nullable[l] || nullable[r];
                 }
                 NodeKind::Optional => {
                     let c = tree.lchild(node).unwrap().index();
                     first[id] = first[c].clone();
                     last[id] = last[c].clone();
-                    nullable[id] = true;
                 }
                 NodeKind::Star => {
                     let c = tree.lchild(node).unwrap().index();
@@ -101,9 +96,8 @@ impl GlushkovAutomaton {
                     }
                     first[id] = first[c].clone();
                     last[id] = last[c].clone();
-                    nullable[id] = true;
                 }
-                NodeKind::Repeat(min, max) => {
+                NodeKind::Repeat(_, max) => {
                     let c = tree.lchild(node).unwrap().index();
                     // Iteration edges exist when the body may repeat.
                     if max.map_or(true, |m| m >= 2) {
@@ -113,7 +107,6 @@ impl GlushkovAutomaton {
                     }
                     first[id] = first[c].clone();
                     last[id] = last[c].clone();
-                    nullable[id] = min == 0 || nullable[c];
                 }
             }
         }
@@ -130,13 +123,7 @@ impl GlushkovAutomaton {
         GlushkovAutomaton {
             follow,
             symbols,
-            nullable: {
-                // e = (# e′) $ — nullability of e′ is nullability of the
-                // right child of the inner concatenation.
-                let inner = tree.lchild(tree.root()).unwrap();
-                let expr = tree.rchild(inner).unwrap();
-                nullable[expr.index()]
-            },
+            nullable: tree.nullable(tree.expr_root()),
         }
     }
 

@@ -106,10 +106,9 @@ fn rigid_body_is_flexible(body: &Regex) -> bool {
     }
     let analysis = TreeAnalysis::build(body);
     let tree = analysis.tree();
-    let props = analysis.props();
     let root = tree.expr_root();
-    let first = props.first_set(tree, root);
-    let last = props.last_set(tree, root);
+    let first = tree.first_set(root);
+    let last = tree.last_set(root);
     last.iter()
         .any(|&p| first.iter().any(|&q| analysis.check_if_follow(p, q)))
 }

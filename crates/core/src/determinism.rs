@@ -126,10 +126,9 @@ pub fn check_determinism(
 /// `First`-set block), which is why Algorithm 2 does not test it.
 fn check_plus_nodes(analysis: &TreeAnalysis, skeleta: &Skeleta) -> Result<(), NonDeterminism> {
     let tree = analysis.tree();
-    let props = analysis.props();
     for skeleton in skeleta.iter() {
         for entry in &skeleton.nodes {
-            if !tree.kind(entry.node).is_iterating() || props.nullable(entry.node) {
+            if !tree.kind(entry.node).is_iterating() || tree.nullable(entry.node) {
                 continue;
             }
             if let (Some(first_pos), Some(next)) = (entry.first_pos, entry.next) {
@@ -153,12 +152,11 @@ fn check_colored_nodes(
     skeleta: &Skeleta,
 ) -> Result<(), NonDeterminism> {
     let tree = analysis.tree();
-    let props = analysis.props();
     for &(node, symbol, witness) in &colors.assignments {
         let rchild = tree
             .rchild(node)
             .expect("colored nodes are concatenations and have two children");
-        if !props.nullable(rchild) {
+        if !tree.nullable(rchild) {
             // Neither combination can occur (Theorem 3.5 (i)/(ii)).
             continue;
         }
@@ -182,13 +180,13 @@ fn check_colored_nodes(
 
         // Combination (2): Witness and FirstPos follow a common position
         // through the lowest iterating ancestor S of the colored node.
-        let (Some(first_pos), Some(star)) = (entry.first_pos, props.p_star(node)) else {
+        let (Some(first_pos), Some(star)) = (entry.first_pos, tree.p_star(node)) else {
             continue;
         };
         let star_entry = skeleton
             .find(star)
             .expect("pStar of a class-a node belongs to the skeleton");
-        let sup_last_reaches_star = props
+        let sup_last_reaches_star = tree
             .p_sup_last(node)
             .is_some_and(|sl| tree.is_ancestor(sl, star));
         if star_entry.first_pos == Some(first_pos) && sup_last_reaches_star {

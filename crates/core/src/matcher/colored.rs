@@ -64,11 +64,6 @@ impl ColoredAncestorMatcher {
             colored,
         }
     }
-
-    /// The underlying colored-ancestor structure (exposed for experiments).
-    pub fn colored_ancestors(&self) -> &ColoredAncestors {
-        &self.colored
-    }
 }
 
 impl TransitionSim for ColoredAncestorMatcher {

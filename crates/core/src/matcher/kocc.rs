@@ -7,12 +7,12 @@
 //! `O(|e|)` parse-tree preprocessing — linear for the 1-ORE/CHARE
 //! expressions that dominate real-world schemas.
 //!
-//! The candidate scan is flat-table work end to end: the per-symbol
+//! The candidate scan is array work end to end: the per-symbol
 //! position lists live in the parse tree's CSR index (one offsets array and
 //! one positions array — two loads yield the slice), and every candidate is
-//! tested with [`redet_tree::FlatTables::follow_ids`], which performs one
-//! leaf-pair LCA lookup plus a few interval comparisons over dense preorder
-//! arrays. No per-query allocation, hashing or pointer chasing.
+//! tested with [`redet_tree::TreeAnalysis::follow_ids`], which performs
+//! one leaf-pair LCA lookup plus a few interval comparisons over dense
+//! preorder arrays. No per-query allocation, hashing or pointer chasing.
 
 use crate::matcher::TransitionSim;
 use redet_syntax::Symbol;
@@ -57,14 +57,14 @@ impl TransitionSim for KOccurrenceMatcher {
 
     #[inline]
     fn find_next(&self, p: PosId, symbol: Symbol) -> Option<PosId> {
-        let flat = self.analysis.flat();
+        let analysis = &*self.analysis;
         let pid = p.index() as u32;
-        self.analysis
+        analysis
             .tree()
             .positions_of_symbol(symbol)
             .iter()
             .copied()
-            .find(|&q| flat.follow_ids(pid, q.index() as u32))
+            .find(|&q| analysis.follow_ids(pid, q.index() as u32))
     }
 }
 

@@ -86,7 +86,6 @@ impl PathDecompositionMatcher {
     /// Builds the matcher in `O(|e|)` time.
     pub fn new(analysis: Arc<TreeAnalysis>) -> Result<Self, PathDecompositionError> {
         let tree = analysis.tree();
-        let props = analysis.props();
         let n = tree.num_nodes();
 
         // Counters must be unrolled first, and native `e+` is rejected too:
@@ -109,10 +108,10 @@ impl PathDecompositionMatcher {
             let top = match tree.parent(node) {
                 None => true,
                 Some(parent) => {
-                    props.sup_last(node)
-                        || props.sup_first(node)
+                    tree.sup_last(node)
+                        || tree.sup_first(node)
                         || (tree.rchild(parent) == Some(node)
-                            && (props.nullable(node) || tree.kind(parent) == NodeKind::Union))
+                            && (tree.nullable(node) || tree.kind(parent) == NodeKind::Union))
                 }
             };
             is_top[node.index()] = top;
@@ -131,7 +130,7 @@ impl PathDecompositionMatcher {
         let mut f = vec![NodeId::from_index(0); n];
         for node in tree.node_ids() {
             let idx = node.index();
-            let non_nullable_concat = tree.kind(node) == NodeKind::Concat && !props.nullable(node);
+            let non_nullable_concat = tree.kind(node) == NodeKind::Concat && !tree.nullable(node);
             match tree.parent(node) {
                 None => {
                     path_top[idx] = node;
@@ -152,8 +151,8 @@ impl PathDecompositionMatcher {
             }
             let top = path_top[idx];
             let stop_here = tree.parent(top).is_none()
-                || props.sup_last(top)
-                || props.sup_first(top)
+                || tree.sup_last(top)
+                || tree.sup_first(top)
                 || flag[idx];
             f[idx] = if stop_here { top } else { fallback[idx] };
         }
@@ -162,7 +161,7 @@ impl PathDecompositionMatcher {
         let mut h = HashMap::with_capacity(tree.num_positions());
         for (pos, sym) in tree.symbol_positions() {
             let leaf = tree.pos_node(pos);
-            let sup_first = props
+            let sup_first = tree
                 .p_sup_first(leaf)
                 .expect("alphabet positions have a pSupFirst node");
             let parent = tree
@@ -223,9 +222,8 @@ impl TransitionSim for PathDecompositionMatcher {
     /// `FindNext` (Algorithm 3).
     fn find_next(&self, p: PosId, symbol: Symbol) -> Option<PosId> {
         let tree = self.analysis.tree();
-        let props = self.analysis.props();
         let leaf = tree.pos_node(p);
-        let sup_last = props.p_sup_last(leaf)?;
+        let sup_last = tree.p_sup_last(leaf)?;
 
         // Lines 1–5: climb the jump sequence until pSupLast(p), testing the
         // aggregated candidates along the way.
@@ -246,8 +244,8 @@ impl TransitionSim for PathDecompositionMatcher {
 
         // Lines 8–14: look into First(parent(pSupLast(p))).
         let parent_x = tree.parent(x)?;
-        let y = props.p_sup_first(parent_x)?;
-        let q = if props.nullable(y) {
+        let y = tree.p_sup_first(parent_x)?;
+        let q = if tree.nullable(y) {
             self.next_top(y)
                 .and_then(|target| self.h.get(&(target, symbol)).copied())
         } else {

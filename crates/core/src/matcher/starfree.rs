@@ -115,15 +115,12 @@ impl StarFreeMatcher {
         results: &mut Vec<bool>,
     ) {
         let tree = self.analysis.tree();
-        let flat = self.analysis.flat();
         let num_symbols = tree.num_symbols();
         results.clear();
         results.resize(words.len(), false);
         scratch.cursor.clear();
         scratch.cursor.resize(words.len(), 0);
-        scratch
-            .skeleta
-            .begin(flat, tree.num_nodes(), num_symbols, 0);
+        scratch.skeleta.begin(tree);
 
         // Initialization: every word starts at the phantom # position p0.
         let expr_nullable = self.analysis.expr_nullable();
@@ -147,13 +144,13 @@ impl StarFreeMatcher {
             scratch.advanced.clear();
             scratch
                 .skeleta
-                .process(flat, pid, sym.index() as u32, &mut scratch.advanced);
+                .process(tree, pid, sym.index() as u32, &mut scratch.advanced);
             for &w in &scratch.advanced {
                 let word = words[w as usize].as_ref();
                 scratch.cursor[w as usize] += 1;
                 let d = scratch.cursor[w as usize] as usize;
                 if d == word.len() {
-                    results[w as usize] = flat.can_end(pid);
+                    results[w as usize] = tree.can_end(pid);
                 } else {
                     let next_sym = word[d];
                     if next_sym.index() < num_symbols {

@@ -111,7 +111,7 @@ impl CompiledAnalysis {
     /// let models: Vec<_> = parsed
     ///     .into_iter()
     ///     .zip(sources)
-    ///     .map(|((regex, spans), source)| {
+    ///     .map(|((regex, spans, _), source)| {
     ///         CompiledAnalysis::from_parsed(regex, spans, source.into(), alphabet.clone()).unwrap()
     ///     })
     ///     .collect();

@@ -36,14 +36,13 @@ impl ColorAssignment {
     /// positions with the same label and the same `pSupFirst` node.
     pub fn build(analysis: &TreeAnalysis) -> Result<Self, NonDeterminism> {
         let tree = analysis.tree();
-        let props = analysis.props();
         let mut assignments = Vec::with_capacity(tree.num_positions());
         let mut seen: std::collections::HashMap<(NodeId, Symbol), PosId> =
             std::collections::HashMap::with_capacity(tree.num_positions());
 
         for (pos, sym) in tree.symbol_positions() {
             let leaf = tree.pos_node(pos);
-            let sup_first = props
+            let sup_first = tree
                 .p_sup_first(leaf)
                 .expect("R1 guarantees pSupFirst is defined inside e′");
             let colored = tree
@@ -126,7 +125,6 @@ impl Skeleton {
         colored: &[(NodeId, PosId)],
     ) -> Result<Self, NonDeterminism> {
         let tree = analysis.tree();
-        let props = analysis.props();
 
         // 1. Seeds: a-positions and a-colored nodes.
         let mut seeds: Vec<NodeId> = tree
@@ -151,10 +149,10 @@ impl Skeleton {
         // result remains LCA-closed (ancestors of an LCA-closed set).
         let mut extended = class.clone();
         for &n in &class {
-            if let Some(x) = props.p_sup_last(n) {
+            if let Some(x) = tree.p_sup_last(n) {
                 extended.push(x);
             }
-            if let Some(x) = props.p_star(n) {
+            if let Some(x) = tree.p_star(n) {
                 extended.push(x);
             }
         }
@@ -213,14 +211,13 @@ impl Skeleton {
     /// reported as an error.
     fn compute_first_pos(&mut self, analysis: &TreeAnalysis) -> Result<(), NonDeterminism> {
         let tree = analysis.tree();
-        let props = analysis.props();
         for i in (0..self.nodes.len()).rev() {
             let node = self.nodes[i].node;
             let mut candidate: Option<PosId> = None;
             let consider =
                 |p: Option<PosId>, candidate: &mut Option<PosId>| -> Option<(PosId, PosId)> {
                     let p = p?;
-                    if !props.in_first(tree, p, node) {
+                    if !tree.in_first(p, node) {
                         return None;
                     }
                     match *candidate {
@@ -269,7 +266,6 @@ impl Skeleton {
             return Ok(());
         }
         let tree = analysis.tree();
-        let props = analysis.props();
 
         // Iterative depth-first traversal carrying the candidate set Y
         // (never more than two positions, checked like the paper's |Y| > 2).
@@ -278,7 +274,7 @@ impl Skeleton {
             let node = self.nodes[i].node;
 
             // Line 1–2: a SupLast node cuts off everything accumulated above.
-            if props.sup_last(node) {
+            if tree.sup_last(node) {
                 y.clear();
             }
 
@@ -292,7 +288,7 @@ impl Skeleton {
                 if let Some(sibling) = right_sibling {
                     if tree.kind(parent_node) == NodeKind::Concat
                         && is_left_child
-                        && (!props.sup_last(node) || Some(parent_node) == tree.parent(node))
+                        && (!tree.sup_last(node) || Some(parent_node) == tree.parent(node))
                     {
                         y.insert(self.nodes[sibling as usize].first_pos);
                     }
@@ -464,11 +460,11 @@ mod tests {
         // p4 = the a of (a? c), p5 = the c of (a? c); their pSupFirst is the
         // (a? c) node, whose parent is the concatenation (a b*)(a? c) = n3.
         let n3 = tree
-            .parent(analysis.props().p_sup_first(tree.pos_node(p4)).unwrap())
+            .parent(analysis.tree().p_sup_first(tree.pos_node(p4)).unwrap())
             .unwrap();
         assert!(colors.assignments.contains(&(n3, a, p4)));
         let n3c = tree
-            .parent(analysis.props().p_sup_first(tree.pos_node(p5)).unwrap())
+            .parent(analysis.tree().p_sup_first(tree.pos_node(p5)).unwrap())
             .unwrap();
         assert_eq!(n3, n3c, "p4 and p5 witness colors at the same node");
         assert!(colors.assignments.contains(&(n3, c, p5)));
@@ -558,12 +554,11 @@ mod tests {
                 Err(_) => continue,
             };
             let tree = analysis.tree();
-            let props = analysis.props();
             for skeleton in skeleta.iter() {
                 for sn in &skeleton.nodes {
                     // FirstPos(n, a) is the unique a-position in First(n).
-                    let expected: Vec<PosId> = props
-                        .first_set(tree, sn.node)
+                    let expected: Vec<PosId> = tree
+                        .first_set(sn.node)
                         .into_iter()
                         .filter(|&p| tree.symbol_at(p) == Some(skeleton.symbol))
                         .collect();
@@ -594,13 +589,12 @@ mod tests {
                 continue;
             };
             let tree = analysis.tree();
-            let props = analysis.props();
             for skeleton in skeleta.iter() {
                 for sn in &skeleton.nodes {
                     // FollowAfter(n) = {q not below n | ∃p ∈ Last(n), q ∈ Follow(p)};
                     // Next(n, a) is its a-labeled part.
                     let mut expected: Vec<PosId> = Vec::new();
-                    for p in props.last_set(tree, sn.node) {
+                    for p in tree.last_set(sn.node) {
                         for q in analysis.follow_set_naive(p) {
                             if tree.symbol_at(q) == Some(skeleton.symbol)
                                 && !tree.is_ancestor(sn.node, tree.pos_node(q))

@@ -82,7 +82,10 @@ pub use validator::{DocEvent, DocumentValidator};
 
 use crate::dtd::{parse_dtd_fragment, ParsedContent};
 use redet_core::{Code, CompiledAnalysis, DeterministicRegex, Diagnostic, MatchStrategy};
-use redet_syntax::{parse_spanned_with_alphabet, Alphabet, Regex, Span, Symbol};
+use redet_syntax::{
+    parse_spanned_with_alphabet, Alphabet, Regex, Span, Symbol, UnrolledSize,
+    MAX_UNROLLED_POSITIONS, MAX_UNROLLED_SET_ENTRIES,
+};
 use redet_tree::PosId;
 use std::sync::Arc;
 
@@ -535,6 +538,34 @@ struct AttrSource {
 /// missing `#REQUIRED` attributes in one 64-bit mask per open start tag.
 const MAX_ATTRS_PER_ELEMENT: usize = 64;
 
+/// The most positions the counted content models of one schema may unroll
+/// to together: four times what one model may. The parser caps each model
+/// on its own, but one DTD may declare many; past this total,
+/// [`SchemaBuilder::build`] refuses the schema with one [`Code::Parse`]
+/// (`E001`) diagnostic at the declaration that crossed it, before any model
+/// is analyzed. Models without numeric occurrence indicators do not count:
+/// they compile in time linear in their text.
+pub const MAX_SCHEMA_UNROLLED_POSITIONS: usize = 4 * MAX_UNROLLED_POSITIONS;
+
+/// The most position-set entries the counted content models of one schema
+/// may unroll to together (see [`MAX_SCHEMA_UNROLLED_POSITIONS`]).
+pub const MAX_SCHEMA_UNROLLED_SET_ENTRIES: usize = 4 * MAX_UNROLLED_SET_ENTRIES;
+
+/// The refusal for a schema whose counted models, summed up to and
+/// including the current one, unroll past a schema budget.
+fn over_schema_budget(total: UnrolledSize) -> Option<Diagnostic> {
+    let crossed = if total.positions > MAX_SCHEMA_UNROLLED_POSITIONS {
+        format!("{MAX_SCHEMA_UNROLLED_POSITIONS} positions")
+    } else if total.entries > MAX_SCHEMA_UNROLLED_SET_ENTRIES {
+        format!("{MAX_SCHEMA_UNROLLED_SET_ENTRIES} position-set entries")
+    } else {
+        return None;
+    };
+    let message =
+        format!("the counted repetitions of this schema unroll to more than {crossed} in total");
+    Some(Diagnostic::new(Code::Parse, message).with_span(Span::new(0, 0)))
+}
+
 /// Collects element declarations and compiles them into an immutable
 /// [`Schema`].
 ///
@@ -699,6 +730,12 @@ impl SchemaBuilder {
     /// declaration's duplicate, parse or determinism error in declaration
     /// order, then attribute-cap errors — each carrying its code, source
     /// span, and (for determinism conflicts) the witness positions.
+    ///
+    /// A schema whose counted models unroll past
+    /// [`MAX_SCHEMA_UNROLLED_POSITIONS`] or
+    /// [`MAX_SCHEMA_UNROLLED_SET_ENTRIES`] in total is refused as soon as
+    /// the sum crosses: the diagnostics so far, then one `E001` at the
+    /// crossing declaration; later declarations are not parsed.
     pub fn build(self) -> Result<Arc<Schema>, Vec<Diagnostic>> {
         let mut alphabet = Alphabet::new();
         // Pre-intern every declared name: models may reference elements
@@ -711,6 +748,7 @@ impl SchemaBuilder {
         // the one alphabet; the analysis waits until the alphabet is frozen.
         let mut seen = vec![false; alphabet.len()];
         let mut slots: Vec<Slot> = Vec::with_capacity(self.decls.len());
+        let mut unrolled = UnrolledSize::default();
         for decl in &self.decls {
             let sym = alphabet.intern(&decl.name);
             if std::mem::replace(&mut seen[sym.index()], true) {
@@ -727,7 +765,22 @@ impl SchemaBuilder {
             slots.push(match &decl.content {
                 ParsedContent::Model { source, offset, .. } => {
                     match parse_spanned_with_alphabet(source, &mut alphabet) {
-                        Ok((regex, spans)) => Slot::Parsed(sym, regex, spans),
+                        Ok((regex, spans, size)) => {
+                            unrolled.positions += size.positions;
+                            unrolled.entries += size.entries;
+                            if let Some(diag) = over_schema_budget(unrolled) {
+                                let mut diagnostics = self.pending;
+                                diagnostics.extend(slots.into_iter().filter_map(
+                                    |slot| match slot {
+                                        Slot::Failed(diag) => Some(diag),
+                                        _ => None,
+                                    },
+                                ));
+                                diagnostics.push(in_model(diag, *offset, &decl.name));
+                                return Err(diagnostics);
+                            }
+                            Slot::Parsed(sym, regex, spans)
+                        }
                         Err(err) => Slot::Failed(in_model(err.into(), *offset, &decl.name)),
                     }
                 }
@@ -1027,6 +1080,39 @@ mod tests {
             .unwrap()
             .certificate()
             .is_some());
+    }
+
+    #[test]
+    fn counted_models_share_one_unroll_budget() {
+        // Each `a{4500}` unrolls to 4 500 positions, within every per-model
+        // cap; the 59th crosses the schema budget. The refusal follows the
+        // diagnostics so far, and nothing after the crossing declaration
+        // is parsed (the trailing broken model reports nothing).
+        let counted: String = (0..100)
+            .map(|i| format!("<!ELEMENT e{i} (a{{4500}})>"))
+            .collect();
+        let err = SchemaBuilder::new()
+            .parse_dtd("<!ELEMENT broken")
+            .element("bad", "(b,)")
+            .parse_dtd(&counted)
+            .element("late", "(c,)")
+            .build()
+            .unwrap_err();
+        let codes: Vec<Code> = err.iter().map(Diagnostic::code).collect();
+        assert_eq!(codes, [Code::MalformedDtd, Code::Parse, Code::Parse]);
+        assert!(
+            err[2].to_string().contains("<e58>")
+                && err[2].to_string().contains(&format!(
+                    "unroll to more than {MAX_SCHEMA_UNROLLED_POSITIONS} positions in total"
+                )),
+            "{}",
+            err[2]
+        );
+        // Models without numeric occurrence indicators do not count.
+        let plain: String = (0..100)
+            .map(|i| format!("<!ELEMENT p{i} (t, u?)+>"))
+            .collect();
+        assert!(SchemaBuilder::new().parse_dtd(&plain).build().is_ok());
     }
 
     #[test]

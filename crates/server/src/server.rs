@@ -179,12 +179,6 @@ impl ShutdownHandle {
         // Wake the acceptor; if the server already exited, nobody listens.
         let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
     }
-
-    /// Whether shutdown has been requested.
-    #[must_use]
-    pub fn is_shutdown(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
 }
 
 /// What a [`Server`] did over its lifetime, returned by [`Server::run`].

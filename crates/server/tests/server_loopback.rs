@@ -529,6 +529,32 @@ fn over_deep_publish_bodies_are_refused_and_serving_continues() {
 }
 
 #[test]
+fn over_budget_publish_body_is_refused_and_the_connection_keeps_serving() {
+    // 2 000 counted models, each within every per-model cap, unroll past
+    // the schema-wide budget together: the body is refused with one pinned
+    // E001 line at the declaration that crossed it, and the next request
+    // on the same connection still answers.
+    let dtd: String = (0..2000)
+        .map(|i| format!("<!ELEMENT e{i} (a{{4500}})>\n"))
+        .collect();
+    let fixture = Fixture::two_schemas(ServiceLimits::default(), ServerConfig::default());
+    let mut stream = fixture.connect();
+    let mut request = format!("P bib {}\n{dtd}", dtd.len()).into_bytes();
+    request.extend_from_slice(format!("V bib {}\n{GOOD_BIB}", GOOD_BIB.len()).as_bytes());
+    stream.write_all(&request).unwrap();
+    let mut reader = BufReader::new(stream);
+    assert_eq!(
+        read_line(&mut reader),
+        "err E001 1454..1454 in the content model of <e58>: the counted \
+         repetitions of this schema unroll to more than 262144 positions in total"
+    );
+    assert_eq!(read_line(&mut reader), "ok");
+    drop(reader);
+    let report = fixture.stop();
+    assert_eq!(report.published, 0);
+}
+
+#[test]
 fn connections_past_the_cap_are_refused_until_one_closes() {
     let config = ServerConfig {
         max_connections: 2,

@@ -92,6 +92,36 @@ fn over_large_counted_models_are_pinned() {
 }
 
 #[test]
+fn over_budget_schemas_are_pinned() {
+    // Counted models each within every per-model cap, but together past
+    // the schema-wide unroll budget: one line at the declaration that
+    // crossed it, for positions and for position-set entries.
+    let render = |dtd: String| {
+        let diagnostics = SchemaBuilder::new().parse_dtd(&dtd).build().unwrap_err();
+        assert_eq!(diagnostics.len(), 1);
+        render_diagnostic(&diagnostics[0])
+    };
+    let deep: String = (0..60)
+        .map(|i| format!("<!ELEMENT e{i} (a{{4500}})>\n"))
+        .collect();
+    assert_eq!(
+        render(deep),
+        "err E001 1454..1454 in the content model of <e58>: the counted \
+         repetitions of this schema unroll to more than 262144 positions in total"
+    );
+    let union: Vec<String> = (0..834).map(|i| format!("a{i}")).collect();
+    let wide: String = (0..5)
+        .map(|i| format!("<!ELEMENT e{i} (({}){{1,2}})>\n", union.join(" | ")))
+        .collect();
+    assert_eq!(
+        render(wide),
+        "err E001 23009..23009 in the content model of <e4>: the counted \
+         repetitions of this schema unroll to more than 8388608 position-set \
+         entries in total"
+    );
+}
+
+#[test]
 fn validation_error_appends_the_document_location() {
     let schema = SchemaBuilder::new()
         .element("bibliography", "(book)+")

@@ -47,7 +47,7 @@
 //! vectors that are recycled across batches, so steady-state matching
 //! allocates nothing.
 
-use redet_tree::flat::{FlatTables, NONE};
+use redet_tree::{ParseTree, NONE};
 
 /// An entry parked in a skeleton: a word sitting at a position, waiting for
 /// its next symbol. Entries form singly-linked lists inside [`Group`]s.
@@ -110,34 +110,28 @@ impl BatchSkeleta {
         Self::default()
     }
 
-    /// Resets the structure for a batch over a tree with `num_nodes` nodes
-    /// and `num_symbols` symbols, positioning the traversal at `begin_pos`
-    /// (the phantom `#`). Reuses all previous allocations.
-    pub fn begin(
-        &mut self,
-        flat: &FlatTables,
-        num_nodes: usize,
-        num_symbols: usize,
-        begin_pos: u32,
-    ) {
+    /// Resets the structure for a batch over `tree`, positioning the
+    /// traversal at the phantom `#`. Reuses all previous allocations.
+    pub fn begin(&mut self, tree: &ParseTree) {
         self.groups.clear();
         self.entries.clear();
         self.node_head.clear();
-        self.node_head.resize(num_nodes, NONE);
+        self.node_head.resize(tree.num_nodes(), NONE);
         self.symbol_top.clear();
-        self.symbol_top.resize(num_symbols, NONE);
+        self.symbol_top.resize(tree.num_symbols(), NONE);
         self.chain.clear();
         // Chain = path root → begin leaf.
-        let mut n = flat.leaf(begin_pos);
+        let begin_leaf = tree.leaf(0);
+        let mut n = begin_leaf;
         self.path_buf.clear();
         while n != NONE {
             self.path_buf.push(n);
-            n = flat.parent_id(n);
+            n = tree.parent_id(n);
         }
         while let Some(x) = self.path_buf.pop() {
             self.chain.push(x);
         }
-        self.cur_leaf = flat.leaf(begin_pos);
+        self.cur_leaf = begin_leaf;
     }
 
     /// Parks `word` at position `pos` (which must be the position whose
@@ -175,8 +169,8 @@ impl BatchSkeleta {
     /// group whose node witnesses `checkIfFollow(entry, pos)` for entries
     /// waiting on `symbol`. The advanced words are appended to `advanced`;
     /// entries proven dead (doomed by their `pSupLast`) are dropped.
-    pub fn process(&mut self, flat: &FlatTables, pos: u32, symbol: u32, advanced: &mut Vec<u32>) {
-        let leaf = flat.leaf(pos);
+    pub fn process(&mut self, tree: &ParseTree, pos: u32, symbol: u32, advanced: &mut Vec<u32>) {
+        let leaf = tree.leaf(pos);
         debug_assert!(
             leaf > self.cur_leaf,
             "positions must be processed left to right"
@@ -186,7 +180,7 @@ impl BatchSkeleta {
         // their groups into their parents.
         while {
             let top = *self.chain.last().expect("chain contains the root");
-            !flat.is_ancestor_ids(top, leaf)
+            !tree.is_ancestor_ids(top, leaf)
         } {
             self.pop_and_merge();
         }
@@ -196,7 +190,7 @@ impl BatchSkeleta {
         let mut n = leaf;
         while n != anchor {
             self.path_buf.push(n);
-            n = flat.parent_id(n);
+            n = tree.parent_id(n);
             debug_assert!(n != NONE, "anchor is an ancestor of the leaf");
         }
         while let Some(x) = self.path_buf.pop() {
@@ -207,8 +201,8 @@ impl BatchSkeleta {
         // Candidate walk: the concatenation ancestors v with
         // p ∈ First(Rchild(v)) lie between parent(pSupFirst(p)) and
         // parent(leaf); in preorder that zone is v ≥ parent(pSupFirst(p)).
-        let boundary = flat.psf(pos);
-        let zone_lo = flat.parent_id(boundary);
+        let boundary = tree.psf(pos);
+        let zone_lo = tree.parent_id(boundary);
         debug_assert!(zone_lo != NONE, "R1: pSupFirst of a position has a parent");
 
         let mut prev = NONE;
@@ -221,8 +215,8 @@ impl BatchSkeleta {
                 // every higher group — stop without touching them.
                 break;
             }
-            let r = flat.concat_rchild(v);
-            let candidate = r != NONE && leaf >= r && flat.is_ancestor_ids(boundary, r);
+            let r = tree.concat_rchild(v);
+            let candidate = r != NONE && leaf >= r && tree.is_ancestor_ids(boundary, r);
             if candidate {
                 // Consume the whole group: v = LCA(entry, pos) for each of
                 // its entries, so checkIfFollow reduces to the pSupLast test
@@ -230,7 +224,7 @@ impl BatchSkeleta {
                 let mut e = group.head;
                 while e != NONE {
                     let entry = self.entries[e as usize];
-                    if flat.is_ancestor_ids(flat.psl(entry.pos), v + 1) {
+                    if tree.is_ancestor_ids(tree.psl(entry.pos), v + 1) {
                         advanced.push(entry.word);
                     }
                     e = entry.next;
@@ -284,16 +278,5 @@ impl BatchSkeleta {
             }
             g = next_at_node;
         }
-    }
-
-    /// Number of groups created since the last [`BatchSkeleta::begin`]
-    /// (diagnostics for tests: bounds the extra group-skip work).
-    pub fn groups_created(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Number of entries parked since the last [`BatchSkeleta::begin`].
-    pub fn entries_parked(&self) -> usize {
-        self.entries.len()
     }
 }

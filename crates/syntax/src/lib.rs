@@ -34,7 +34,7 @@ pub use ast::Regex;
 pub use error::{ParseError, Span, SyntaxError};
 pub use normalize::normalize;
 pub use parser::{
-    parse, parse_spanned, parse_spanned_with_alphabet, parse_with_alphabet, MAX_NESTING,
-    MAX_TREE_DEPTH, MAX_UNROLLED_POSITIONS, MAX_UNROLLED_SET_ENTRIES,
+    parse, parse_spanned, parse_spanned_with_alphabet, parse_with_alphabet, UnrolledSize,
+    MAX_NESTING, MAX_TREE_DEPTH, MAX_UNROLLED_POSITIONS, MAX_UNROLLED_SET_ENTRIES,
 };
 pub use properties::ExprStats;

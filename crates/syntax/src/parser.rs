@@ -73,6 +73,21 @@ pub const MAX_UNROLLED_POSITIONS: usize = 1 << 16;
 /// names holds `n²` first/last entries along its chain of union nodes.
 pub const MAX_UNROLLED_SET_ENTRIES: usize = 1 << 21;
 
+/// The size of the tree `unroll_counting` builds from a parsed model: its
+/// positions and the position-set entries its Glushkov automaton stores.
+/// Zero for a model without numeric occurrence indicators (`e+` is not
+/// one), which compiles in time linear in its text instead. Each counted
+/// model is capped on these ([`MAX_UNROLLED_POSITIONS`],
+/// [`MAX_UNROLLED_SET_ENTRIES`]); a schema sums them to budget all of its
+/// models together.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct UnrolledSize {
+    /// Positions of the unrolled tree.
+    pub positions: usize,
+    /// Follow pairs plus the first/last set sizes of every unrolled node.
+    pub entries: usize,
+}
+
 /// Parses `input` into an expression, interning symbols into a fresh
 /// [`Alphabet`].
 pub fn parse(input: &str) -> Result<(Regex, Alphabet), ParseError> {
@@ -86,7 +101,7 @@ pub fn parse(input: &str) -> Result<(Regex, Alphabet), ParseError> {
 /// Useful when several content models (e.g. all the element declarations of
 /// one DTD) must share a single symbol space.
 pub fn parse_with_alphabet(input: &str, alphabet: &mut Alphabet) -> Result<Regex, ParseError> {
-    parse_spanned_with_alphabet(input, alphabet).map(|(regex, _)| regex)
+    parse_spanned_with_alphabet(input, alphabet).map(|(regex, ..)| regex)
 }
 
 /// Like [`parse`], additionally returning the byte span of every alphabet
@@ -106,16 +121,26 @@ pub fn parse_with_alphabet(input: &str, alphabet: &mut Alphabet) -> Result<Regex
 /// ```
 pub fn parse_spanned(input: &str) -> Result<(Regex, Alphabet, Vec<Span>), ParseError> {
     let mut alphabet = Alphabet::new();
-    let (regex, spans) = parse_spanned_with_alphabet(input, &mut alphabet)?;
+    let (regex, spans, _) = parse_spanned_with_alphabet(input, &mut alphabet)?;
     Ok((regex, alphabet, spans))
 }
 
 /// Like [`parse_with_alphabet`], additionally returning per-position byte
-/// spans (see [`parse_spanned`]).
+/// spans (see [`parse_spanned`]) and the [`UnrolledSize`] of the model.
+///
+/// ```
+/// use redet_syntax::{parse_spanned_with_alphabet, Alphabet, UnrolledSize};
+///
+/// let mut alphabet = Alphabet::new();
+/// let (_, _, size) = parse_spanned_with_alphabet("(a, b)+", &mut alphabet).unwrap();
+/// assert_eq!(size, UnrolledSize::default());
+/// let (_, _, size) = parse_spanned_with_alphabet("(a{3})", &mut alphabet).unwrap();
+/// assert_eq!(size.positions, 3);
+/// ```
 pub fn parse_spanned_with_alphabet(
     input: &str,
     alphabet: &mut Alphabet,
-) -> Result<(Regex, Vec<Span>), ParseError> {
+) -> Result<(Regex, Vec<Span>, UnrolledSize), ParseError> {
     let tokens = tokenize(input)?;
     let mut parser = Parser {
         tokens,
@@ -123,7 +148,7 @@ pub fn parse_spanned_with_alphabet(
         alphabet,
         spans: Vec::new(),
     };
-    let (expr, _) = parser.parse_union()?;
+    let (expr, shape) = parser.parse_union()?;
     if parser.pos != parser.tokens.len() {
         let (offset, _, tok) = &parser.tokens[parser.pos];
         return Err(ParseError::new(
@@ -131,7 +156,15 @@ pub fn parse_spanned_with_alphabet(
             format!("unexpected trailing input near {tok:?}"),
         ));
     }
-    Ok((expr, parser.spans))
+    let size = if shape.counted {
+        UnrolledSize {
+            positions: shape.positions,
+            entries: shape.entries,
+        }
+    } else {
+        UnrolledSize::default()
+    };
+    Ok((expr, parser.spans, size))
 }
 
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,11 +1,10 @@
-//! The preprocessed bundle: parse tree + LCA + node properties, offering the
-//! constant-time `checkIfFollow` primitive of Theorem 2.4.
+//! The preprocessed bundle: the parse tree plus LCA structures, offering
+//! the constant-time `checkIfFollow` primitive of Theorem 2.4.
 
-use crate::flat::FlatTables;
 use crate::lca::Lca;
-use crate::node::{NodeId, NodeKind, PosId};
-use crate::parse_tree::ParseTree;
-use crate::props::NodeProps;
+use crate::node::{NodeKind, PosId};
+use crate::parse_tree::{ParseTree, NONE};
+use crate::rmq::SparseTableRmq;
 use redet_syntax::{Regex, Symbol};
 
 /// How a position `q` follows a position `p` (Lemma 2.2): through a
@@ -25,7 +24,16 @@ pub enum FollowKind {
 /// queries (Theorem 2.4).
 ///
 /// This is the substrate shared by the determinism test and all matchers:
-/// it owns the [`ParseTree`], the [`Lca`] structure, and the [`NodeProps`].
+/// it owns the [`ParseTree`] (with its node properties), the Euler-tour
+/// [`Lca`] for node-level queries, and a leaf-pair RMQ for the
+/// position-to-position LCAs of `checkIfFollow`.
+///
+/// For document-ordered leaves, `LCA(leaf_i, leaf_j)` with `i < j` is the
+/// minimum-depth node among the LCAs of *consecutive* leaf pairs in
+/// `[i, j)`, so one sparse-table RMQ over an `m − 1` array answers it in
+/// two same-row loads. The table is `O(m log m)` words — a pragmatic trade
+/// against the pointer-chasing `O(|e|)` ±1 structure, which remains in
+/// place for node-level queries.
 ///
 /// ```
 /// use redet_syntax::parse;
@@ -44,10 +52,13 @@ pub enum FollowKind {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TreeAnalysis {
+    /// `leaf_lca_node[i]` — the LCA of the leaves of positions `i` and
+    /// `i + 1`.
+    leaf_lca_node: Vec<u32>,
+    /// RMQ over the depths of `leaf_lca_node`.
+    leaf_lca_rmq: SparseTableRmq,
     tree: ParseTree,
     lca: Lca,
-    props: NodeProps,
-    flat: FlatTables,
 }
 
 impl TreeAnalysis {
@@ -59,27 +70,34 @@ impl TreeAnalysis {
 
     /// Preprocesses an already-built parse tree.
     pub fn from_tree(tree: ParseTree) -> Self {
+        // The LCA of consecutive leaves u < v: climb from v's parent until
+        // the node also holds u. Every node climbed through has v as its
+        // first leaf, so the climbs of all pairs add up to O(|e|).
+        let m = tree.num_positions();
+        let mut leaf_lca_node = Vec::with_capacity(m - 1);
+        let mut leaf_lca_depth = Vec::with_capacity(m - 1);
+        for w in tree.positions().windows(2) {
+            let mut anc = tree.parent(w[1]).expect("a second leaf is not the root");
+            while !tree.is_ancestor(anc, w[0]) {
+                anc = tree.parent(anc).expect("the root holds every leaf");
+            }
+            leaf_lca_node.push(anc.index() as u32);
+            leaf_lca_depth.push(tree.depth(anc));
+        }
+        let leaf_lca_rmq = SparseTableRmq::new(leaf_lca_depth);
         let lca = Lca::new(&tree);
-        let props = NodeProps::compute(&tree);
-        let flat = FlatTables::build(&tree, &props, &lca);
         TreeAnalysis {
+            leaf_lca_node,
+            leaf_lca_rmq,
             tree,
             lca,
-            props,
-            flat,
         }
     }
 
-    /// The underlying parse tree.
+    /// The underlying parse tree and its node properties.
     #[inline]
     pub fn tree(&self) -> &ParseTree {
         &self.tree
-    }
-
-    /// The node properties (nullability, SupFirst/SupLast, pointers).
-    #[inline]
-    pub fn props(&self) -> &NodeProps {
-        &self.props
     }
 
     /// The LCA structure.
@@ -88,25 +106,56 @@ impl TreeAnalysis {
         &self.lca
     }
 
-    /// The dense struct-of-arrays tables behind the hot query path.
+    /// The LCA of the leaves of positions `p` and `q`, via the leaf-pair
+    /// RMQ (no Euler tour on the hot path).
     #[inline]
-    pub fn flat(&self) -> &FlatTables {
-        &self.flat
+    fn leaf_lca(&self, p: u32, q: u32) -> u32 {
+        if p == q {
+            return self.tree.leaf(p);
+        }
+        let (lo, hi) = if p < q { (p, q) } else { (q, p) };
+        self.leaf_lca_node[self.leaf_lca_rmq.query_inline(lo as usize, hi as usize - 1)]
     }
 
-    /// The lowest common ancestor of two positions' leaves.
+    /// Theorem 2.4 over raw position ids: whether `q ∈ Follow(p)`. One
+    /// leaf-pair LCA lookup plus the Lemma 2.3 interval tests over preorder
+    /// `u32` arrays — the form the matchers' hot loops call.
     #[inline]
-    pub fn lca_of_positions(&self, p: PosId, q: PosId) -> NodeId {
-        self.lca.query(self.tree.pos_node(p), self.tree.pos_node(q))
+    pub fn follow_ids(&self, p: u32, q: u32) -> bool {
+        let tree = &self.tree;
+        // Both leaves are loaded before the LCA so their loads overlap the
+        // RMQ's; the Lemma 2.3 tests below are `in_first_ids`/`in_last_ids`
+        // with those leaves.
+        let pn = tree.leaf(p);
+        let qn = tree.leaf(q);
+        let n = self.leaf_lca(p, q);
+
+        // Case (1): lab(n) = ·, q ∈ First(Rchild(n)), p ∈ Last(Lchild(n)).
+        // In preorder the left child of n is n + 1.
+        let r = tree.concat_rchild(n);
+        if r != NONE
+            && tree.is_ancestor_ids(r, qn)
+            && tree.is_ancestor_ids(tree.psf(q), r)
+            && tree.is_ancestor_ids(n + 1, pn)
+            && tree.is_ancestor_ids(tree.psl(p), n + 1)
+        {
+            return true;
+        }
+
+        // Case (2): q ∈ First(s), p ∈ Last(s) for s the lowest iterating
+        // ancestor of n.
+        let s = tree.p_star_id(n);
+        s != NONE
+            && tree.is_ancestor_ids(s, qn)
+            && tree.is_ancestor_ids(tree.psf(q), s)
+            && tree.is_ancestor_ids(s, pn)
+            && tree.is_ancestor_ids(tree.psl(p), s)
     }
 
     /// Theorem 2.4: whether `q ∈ Follow(p)`, in constant time.
-    ///
-    /// Runs on the dense [`FlatTables`]: one LCA query plus a handful of
-    /// interval comparisons over preorder `u32` arrays.
     #[inline]
     pub fn check_if_follow(&self, p: PosId, q: PosId) -> bool {
-        self.flat.follow_ids(p.index() as u32, q.index() as u32)
+        self.follow_ids(p.index() as u32, q.index() as u32)
     }
 
     /// Like [`Self::check_if_follow`], but reports *how* `q` follows `p`
@@ -120,19 +169,17 @@ impl TreeAnalysis {
         let via_concat = if self.tree.kind(n) == NodeKind::Concat {
             let lchild = self.tree.lchild(n).expect("concat has children");
             let rchild = self.tree.rchild(n).expect("concat has children");
-            self.props.in_first(&self.tree, q, rchild) && self.props.in_last(&self.tree, p, lchild)
+            self.tree.in_first(q, rchild) && self.tree.in_last(p, lchild)
         } else {
             false
         };
 
         // Case (2): q ∈ First(s) and p ∈ Last(s) for s the lowest iterating
         // ancestor of n.
-        let via_star = match self.props.p_star(n) {
-            Some(s) => {
-                self.props.in_first(&self.tree, q, s) && self.props.in_last(&self.tree, p, s)
-            }
-            None => false,
-        };
+        let via_star = self
+            .tree
+            .p_star(n)
+            .is_some_and(|s| self.tree.in_first(q, s) && self.tree.in_last(p, s));
 
         match (via_concat, via_star) {
             (true, true) => Some(FollowKind::Both),
@@ -163,7 +210,7 @@ impl TreeAnalysis {
     /// Whether the whole expression is nullable (`ε ∈ L(e′)`).
     #[inline]
     pub fn expr_nullable(&self) -> bool {
-        self.props.nullable(self.tree.expr_root())
+        self.tree.nullable(self.tree.expr_root())
     }
 
     /// Whether the word consisting of the single position `p` can end a
@@ -171,7 +218,7 @@ impl TreeAnalysis {
     /// Precomputed: a single bit test.
     #[inline]
     pub fn can_end_at(&self, p: PosId) -> bool {
-        self.flat.can_end(p.index() as u32)
+        self.tree.can_end(p.index() as u32)
     }
 
     /// Positions labeled with `sym` (delegates to the parse tree).
@@ -205,7 +252,6 @@ mod tests {
     /// Glushkov recursion (independent of Lemma 2.2 / LCA machinery).
     fn follow_naive(analysis: &TreeAnalysis) -> BTreeSet<(PosId, PosId)> {
         let tree = analysis.tree();
-        let props = analysis.props();
         let mut follow = BTreeSet::new();
         for n in tree.node_ids() {
             let (iterates, concat) = match tree.kind(n) {
@@ -216,15 +262,15 @@ mod tests {
             if concat {
                 let l = tree.lchild(n).unwrap();
                 let r = tree.rchild(n).unwrap();
-                for p in props.last_set(tree, l) {
-                    for q in props.first_set(tree, r) {
+                for p in tree.last_set(l) {
+                    for q in tree.first_set(r) {
                         follow.insert((p, q));
                     }
                 }
             }
             if iterates {
-                for p in props.last_set(tree, n) {
-                    for q in props.first_set(tree, n) {
+                for p in tree.last_set(n) {
+                    for q in tree.first_set(n) {
                         follow.insert((p, q));
                     }
                 }
@@ -272,6 +318,39 @@ mod tests {
             "(x (a b)* y)*",
         ] {
             check_follow_agrees(input);
+        }
+    }
+
+    #[test]
+    fn follow_ids_and_can_end_agree_with_follow_kind() {
+        // follow_kind runs on the Euler-tour Lca and the typed Lemma 2.3
+        // tests — an independent oracle for the leaf-pair RMQ behind
+        // follow_ids and for the precomputed can_end bitset.
+        for input in [
+            "a",
+            "(a b + b b? a)*",
+            "(c?((a b*)(a? c)))*(b a)",
+            "(a b){2,3} c",
+            "a? b? c? d?",
+        ] {
+            let (analysis, _) = setup(input);
+            let tree = analysis.tree();
+            for p in 0..tree.num_positions() {
+                let pos = PosId::from_index(p);
+                assert_eq!(
+                    tree.can_end(p as u32),
+                    analysis.follow_kind(pos, tree.end_pos()).is_some(),
+                    "{input}: can_end({pos:?})"
+                );
+                for q in 0..tree.num_positions() {
+                    let qos = PosId::from_index(q);
+                    assert_eq!(
+                        analysis.follow_ids(p as u32, q as u32),
+                        analysis.follow_kind(pos, qos).is_some(),
+                        "{input}: follow({pos:?},{qos:?})"
+                    );
+                }
+            }
         }
     }
 

@@ -63,7 +63,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`syntax`] | alphabet, AST, parser (with source spans), normalizer (restrictions R1–R3) |
-//! | [`tree`] | parse-tree arena, RMQ/LCA, `SupFirst`/`SupLast`, `checkIfFollow` (Thm 2.4) |
+//! | [`tree`] | struct-of-arrays parse tree with its node properties (`SupFirst`/`SupLast`), RMQ/LCA, `checkIfFollow` (Thm 2.4) |
 //! | [`structures`] | lowest colored ancestor, the star-free batch matcher's dynamic skeleta |
 //! | [`automata`] | Glushkov construction, baseline determinism test, DFA/NFA matching, the `PosStepper` stepping interface |
 //! | [`core`] | linear-time determinism test (Thm 3.5), counting extension (§3.3), the four matchers (Thms 4.2/4.3/4.10/4.12), diagnostics |

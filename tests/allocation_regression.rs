@@ -429,7 +429,7 @@ fn steady_state_match_loops_do_not_allocate() {
     );
     let book = compile_allocations(workloads::BOOK_DTD);
     assert!(
-        book <= 2200,
-        "the book DTD compile made {book} allocations (budget 2 200)"
+        book <= 1760,
+        "the book DTD compile made {book} allocations (budget 1 760)"
     );
 }
