@@ -377,11 +377,13 @@ fn bench_interleaved_serving(h: &mut Harness) {
 }
 
 /// E14: raw tokenizer throughput — the bulk SWAR scanner (`feed`) against
-/// the byte-at-a-time scalar oracle (`feed_scalar`) over the three input
+/// the byte-at-a-time scalar oracle (`feed_scalar`) over the four input
 /// shapes that stress different skip classes: text-heavy (long character
 /// data, the `memchr('<')` fast path), tag-dense (short names back to back,
-/// the serving-corpus regime where per-tag dispatch dominates), and
-/// comment/CDATA-heavy (the `-`/`]` skip loops). Throughput is bytes/s;
+/// the serving-corpus regime where per-tag dispatch dominates),
+/// comment/CDATA-heavy (the `-`/`]` skip loops), and entity-dense (E16's
+/// references in every text run and attribute value, the in-loop
+/// reference decode). Throughput is bytes/s;
 /// the regression gate ratios `bulk` against the `scalar` reference so the
 /// bulk scanner can never quietly regress toward byte-at-a-time speed.
 fn bench_tokenizer_throughput(h: &mut Harness) {
@@ -416,6 +418,14 @@ fn bench_tokenizer_throughput(h: &mut Harness) {
     }
     doc.extend_from_slice(b"</doc>");
     inputs.push(("comments", doc));
+    // Entity-dense: E16's references in every attribute value and text run.
+    let mut doc = b"<doc>".to_vec();
+    while doc.len() < target {
+        doc.extend_from_slice(b"<para role=\"a&amp;b &#x2013; &lt;c&gt;\">");
+        doc.extend_from_slice(b"G &amp; S &#x2013; &quot;vol.&quot; &#49; &apos;x&apos;</para>");
+    }
+    doc.extend_from_slice(b"</doc>");
+    inputs.push(("entities", doc));
 
     for (shape, doc) in &inputs {
         h.throughput(doc.len() as u64);

@@ -32,7 +32,9 @@
 //! handle-capacity edge) to near-zero overhead. E16 ratio-gates the
 //! full-markup serving series (attribute/text events, attribute-dense tag
 //! soup, and the entity-decode byte shape) against the per-document
-//! validator reference over the same enriched corpus. E17 ratio-gates
+//! validator reference over the same enriched corpus, with an absolute cap
+//! ([`E16_ENTITIES_MAX_RATIO`]) relating the entity-dense byte series to
+//! the plain byte series of the same run. E17 ratio-gates
 //! registry-handle opens (`SharedSchema` load + validator) against
 //! direct validator construction, with an absolute cap
 //! ([`E17_HANDLE_OPEN_MAX_RATIO`]) bounding the read-lock + `Arc` clone
@@ -82,6 +84,16 @@ const E13_BYTES_MAX_RATIO: f64 = 1.6;
 /// (none firing) and admission at the handle-capacity edge must cost at
 /// most this factor — resource governance is bookkeeping, not work.
 const E15_GOVERNED_MAX_RATIO: f64 = 1.3;
+
+/// Absolute cap on `service_bytes_entities / service_bytes` (E16): the same
+/// documents with references in every attribute value and text run must
+/// serve within this factor of their plain serialization — whole
+/// references decode inside the tokenizer's scan loops, so they cost
+/// about what the bytes they replace cost. Both series come from one
+/// process, so host load cancels out of the quotient (11 alternating full
+/// runs on a 2-vCPU container read 2.0–2.7× when every reference left the
+/// scan loop, 1.6–1.8× with in-loop decoding).
+const E16_ENTITIES_MAX_RATIO: f64 = 2.0;
 
 /// Absolute cap on `open_handle / open_direct` (E17): obtaining a
 /// validator through a published `SharedSchema` handle (read lock +
@@ -178,7 +190,8 @@ fn ratios(entries: &[Entry]) -> BTreeMap<(String, String, String), f64> {
 /// stay within [`E11_MAX_RATIO`]× of the raw DFA stack, the E13 serving
 /// caps pin event-level overhead ([`E13_MAX_RATIO`]) and raw-byte
 /// ingestion ([`E13_BYTES_MAX_RATIO`]), E15 caps governance overhead
-/// ([`E15_GOVERNED_MAX_RATIO`]) and E17 caps handle opens
+/// ([`E15_GOVERNED_MAX_RATIO`]), E16 caps entity decoding
+/// ([`E16_ENTITIES_MAX_RATIO`]) and E17 caps handle opens
 /// ([`E17_HANDLE_OPEN_MAX_RATIO`]). Returns the number of violations.
 fn absolute_caps(fresh: &BTreeMap<(String, String, String), f64>) -> usize {
     let mut violations = 0usize;
@@ -235,6 +248,21 @@ fn absolute_caps(fresh: &BTreeMap<(String, String, String), f64>) -> usize {
                     eprintln!(
                         "E13 bytes cap: {name} (param {param}) is {relative:.2}x the \
                          event-level interleaved series (cap {E13_BYTES_MAX_RATIO}x)"
+                    );
+                    violations += 1;
+                }
+            }
+        }
+        // Likewise the entity-dense byte series against the plain one.
+        if group == "E16_markup_coverage" && name == "service_bytes_entities" {
+            if let Some(&plain) =
+                fresh.get(&(group.clone(), param.clone(), "service_bytes".to_owned()))
+            {
+                let relative = ratio / plain;
+                if relative > E16_ENTITIES_MAX_RATIO {
+                    eprintln!(
+                        "E16 entities cap: {name} (param {param}) is {relative:.2}x the \
+                         plain byte series (cap {E16_ENTITIES_MAX_RATIO}x)"
                     );
                     violations += 1;
                 }
@@ -310,7 +338,7 @@ fn main() -> ExitCode {
         if capped > 0 {
             eprintln!(
                 "{capped} absolute cap(s) violated (E11 ratio / E13 serving / E13 bytes / \
-                 E15 governance / E17 cached opens)"
+                 E15 governance / E16 entities / E17 cached opens)"
             );
         }
         return ExitCode::FAILURE;

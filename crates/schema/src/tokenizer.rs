@@ -11,16 +11,22 @@
 //!
 //! Every scanner state is either a *skip class* — "consume bytes until one
 //! of a few interesting delimiters" — or a short discriminator (`<!-`,
-//! `CDATA[`, an entity reference) handled byte by byte. [`Tokenizer::feed`]
-//! therefore does not run a per-byte `match`: each skip-class state consumes
-//! its whole run with one [`redet_core::bytescan`] SWAR search (eight bytes
-//! per step) and only the delimiter byte itself pays the state dispatch:
+//! `CDATA[`) handled byte by byte. [`Tokenizer::feed`] therefore does not
+//! run a per-byte `match`: each skip-class state consumes its whole run
+//! with one [`redet_core::bytescan`] SWAR search (eight bytes per step) and
+//! only the delimiter byte itself pays the state dispatch:
 //!
 //! * character data runs to the next `<` or `&` and is emitted as
 //!   [`Tag::Text`] segments, **borrowed straight out of the chunk** unless
-//!   an entity had to be decoded into the text buffer;
+//!   a reference was decoded into it;
 //! * attribute values run to their closing quote (or `&`/`<`) and are
-//!   likewise borrowed when no entity intervenes;
+//!   likewise borrowed when no reference intervenes;
+//! * an entity reference decodes without leaving the scan loop: one word
+//!   probe of the eight bytes after the `&` finds its `;`, and the content
+//!   in between decodes into the text or value buffer. Only a reference
+//!   whose window crosses the chunk edge, that has no `;` in the window,
+//!   or that does not decode walks byte by byte through the state machine,
+//!   which reports every malformed reference;
 //! * comments skip to the next `-`, CDATA sections scan to the next `]`
 //!   (their content is text), processing instructions to the next `?`,
 //!   doctype internals to the next quote/bracket/`>`;
@@ -34,10 +40,10 @@
 //! the bulk scanner against. Both scanners bound every buffer: names by
 //! [`Tokenizer::MAX_NAME_LEN`] (configurable via
 //! [`Tokenizer::set_name_limit`], the `ServiceLimits` hook), attribute
-//! values by [`Tokenizer::MAX_VALUE_LEN`], entity references by a few
-//! bytes, and pending text is flushed as a [`Tag::Text`] segment at every
-//! chunk edge instead of accumulating — a hostile stream can never pin an
-//! unbounded buffer.
+//! values by [`Tokenizer::MAX_VALUE_LEN`], a reference cut by a chunk edge
+//! by a ten-byte array, and pending text is flushed as a [`Tag::Text`]
+//! segment at every chunk edge instead of accumulating — a hostile stream
+//! can never pin an unbounded buffer.
 //!
 //! # What the grammar accepts
 //!
@@ -70,8 +76,9 @@
 //! is malformed XML, and each would otherwise make attribute events
 //! ambiguous.
 //!
-//! No byte is ever buffered except a chunk-straddling partial name/value
-//! and entity-decoded content, so a warmed tokenizer feeds without
+//! Only a chunk-straddling partial name or value, and the text or value a
+//! reference decodes into, are copied into the tokenizer's buffers; their
+//! capacity is kept across documents, so a warmed tokenizer feeds without
 //! allocating.
 //!
 //! [`ValidationService::feed_bytes`]: crate::ValidationService::feed_bytes
@@ -137,8 +144,10 @@ enum State {
     /// Character data between tags. Skip class: `<`, `&`.
     #[default]
     Text,
-    /// Inside `&…;` in character data; the reference's content accumulates
-    /// in the entity buffer, byte by byte (references are a few bytes).
+    /// Inside `&…;` in character data, for a reference the scan loop could
+    /// not decode whole: one cut by the chunk edge, or a malformed one. Its
+    /// content accumulates in the entity array byte by byte, and the byte
+    /// that makes it malformed is reported here.
     Entity,
     /// Just after `<`.
     Lt,
@@ -161,7 +170,8 @@ enum State {
         /// The delimiter that closes this value.
         quote: Quote,
     },
-    /// Inside `&…;` in an attribute value; decodes into the value buffer.
+    /// [`State::Entity`] inside an attribute value; decodes into the value
+    /// buffer.
     AttrEntity {
         /// The delimiter of the enclosing value.
         quote: Quote,
@@ -328,6 +338,10 @@ fn min_hit(a: Option<usize>, b: Option<usize>) -> Option<usize> {
     }
 }
 
+/// Upper bound on an entity reference's content — longer than any
+/// predefined entity or valid character reference (`#x10FFFF`).
+const MAX_ENTITY_LEN: usize = 10;
+
 /// Decodes one entity reference's content (the bytes between `&` and `;`)
 /// into `out`: the five predefined entities plus decimal/hex character
 /// references. On failure nothing is written.
@@ -361,6 +375,30 @@ fn decode_entity(ent: &[u8], out: &mut Vec<u8>) -> Result<(), &'static str> {
         _ => return Err(UNKNOWN_ENTITY),
     }
     Ok(())
+}
+
+/// Decodes the reference whose content starts at `bytes[at]`, just past its
+/// `&`, straight out of the chunk: when the eight bytes from `at` lie in the
+/// chunk, one word probe finds the first `;` among them and the content
+/// before it is decoded into `out`. Returns the index just past the `;`.
+///
+/// `None` — no `;` in the window, a window crossing the chunk edge, or a
+/// content [`decode_entity`] rejects — writes nothing, and the caller walks
+/// the reference byte by byte instead, so every error comes from that one
+/// path. A success is exactly what the byte path would accept: a decodable
+/// content is a predefined name or a numeric reference, all of it in
+/// `[A-Za-z0-9#]`, and at most seven bytes is under [`MAX_ENTITY_LEN`].
+#[inline]
+fn decode_in_chunk(bytes: &[u8], at: usize, out: &mut Vec<u8>) -> Option<usize> {
+    let window = bytes.get(at..at + 8)?;
+    let w = u64::from_le_bytes(window.try_into().expect("8-byte window"));
+    let z = zero_byte_markers(w ^ splat(b';'));
+    if z == 0 {
+        return None;
+    }
+    let k = (z.trailing_zeros() / 8) as usize;
+    decode_entity(&window[..k], out).ok()?;
+    Some(at + k + 1)
 }
 
 /// Byte ranges of the current chunk not yet copied into the tokenizer's
@@ -421,8 +459,11 @@ pub struct Tokenizer {
     /// Flushed as a [`Tag::Text`] segment at every chunk edge, so it never
     /// accumulates across feeds.
     text: Vec<u8>,
-    /// The content of the entity reference currently being read.
-    ent: Vec<u8>,
+    /// The content of an entity reference cut by a chunk edge (or read by
+    /// [`Tokenizer::feed_scalar`]) is `ent[..ent_len]`; references that lie
+    /// whole in a chunk decode straight out of it.
+    ent: [u8; MAX_ENTITY_LEN],
+    ent_len: usize,
     /// The active name-length cap (defaults to [`Tokenizer::MAX_NAME_LEN`]).
     name_limit: usize,
 }
@@ -434,7 +475,8 @@ impl Default for Tokenizer {
             name: Vec::new(),
             value: Vec::new(),
             text: Vec::new(),
-            ent: Vec::new(),
+            ent: [0; MAX_ENTITY_LEN],
+            ent_len: 0,
             name_limit: Self::MAX_NAME_LEN,
         }
     }
@@ -452,10 +494,6 @@ impl Tokenizer {
     /// is reported as a [`Tag::Error`] the service maps to
     /// `Code::ValueLimitExceeded`.
     pub const MAX_VALUE_LEN: usize = 65536;
-
-    /// Upper bound on an entity reference's content — longer than any
-    /// predefined entity or valid character reference (`#x10FFFF`).
-    const MAX_ENTITY_LEN: usize = 10;
 
     /// Lowers (or raises) the name-length cap. The cap is clamped to at
     /// least one byte so single-character names always scan; the emission
@@ -484,7 +522,7 @@ impl Tokenizer {
         self.name.clear();
         self.value.clear();
         self.text.clear();
-        self.ent.clear();
+        self.ent_len = 0;
     }
 
     /// Scans one chunk, invoking `sink` for every completed event. The sink
@@ -520,14 +558,19 @@ impl Tokenizer {
                         let b = bytes[i];
                         if b != b'<' {
                             if b == b'&' {
-                                // Bank the text so far; the entity decodes
-                                // into the text buffer after it.
+                                // Bank the text so far; the reference decodes
+                                // into the text buffer after it, without
+                                // leaving the loop when the chunk holds it.
                                 if sp.text.1 > sp.text.0 {
                                     self.text.extend_from_slice(&bytes[sp.text.0..sp.text.1]);
                                     sp.text = (0, 0);
                                 }
                                 i += 1;
-                                self.ent.clear();
+                                if let Some(next) = decode_in_chunk(bytes, i, &mut self.text) {
+                                    i = next;
+                                    continue;
+                                }
+                                self.ent_len = 0;
                                 self.state = State::Entity;
                                 continue 'chunk;
                             }
@@ -714,9 +757,9 @@ impl Tokenizer {
                     }
                 }
                 State::Entity | State::AttrEntity { .. } => {
-                    // Entity references are a handful of bytes; scan them
-                    // byte by byte in both scanners so error positions
-                    // trivially agree.
+                    // A reference cut by the chunk edge or malformed: scan
+                    // it byte by byte, exactly as the scalar scanner does,
+                    // so error kinds and positions trivially agree.
                     let in_text = self.state == State::Entity;
                     let b = bytes[i];
                     i += 1;
@@ -1013,9 +1056,13 @@ impl Tokenizer {
                     let rest = &bytes[i..];
                     let stop = memchr3(needle, b'&', b'<', rest);
                     let run = stop.unwrap_or(rest.len());
-                    let buffered = self.value.len() + (sp.value.1 - sp.value.0);
-                    if buffered + run > Self::MAX_VALUE_LEN {
-                        i += (Self::MAX_VALUE_LEN - buffered) + 1;
+                    // Decoded references may already have carried the value
+                    // past the cap; the scalar scanner then rejects at the
+                    // next plain byte, so no room is left.
+                    let room = Self::MAX_VALUE_LEN
+                        .saturating_sub(self.value.len() + (sp.value.1 - sp.value.0));
+                    if run > room {
+                        i += room + 1;
                         if !self.emit_error(&mut sp, VALUE_TOO_LONG, sink) {
                             return false;
                         }
@@ -1036,14 +1083,20 @@ impl Tokenizer {
                     i += 1;
                     match b {
                         b'&' => {
-                            // Bank the value so far; the entity decodes
-                            // into the value buffer after it.
+                            // Bank the value so far; the reference decodes
+                            // into the value buffer after it, without
+                            // leaving the loop when the chunk holds it.
                             if sp.value.1 > sp.value.0 {
                                 self.value.extend_from_slice(&bytes[sp.value.0..sp.value.1]);
                                 sp.value = (0, 0);
                             }
-                            self.ent.clear();
-                            self.state = State::AttrEntity { quote };
+                            match decode_in_chunk(bytes, i, &mut self.value) {
+                                Some(next) => i = next,
+                                None => {
+                                    self.ent_len = 0;
+                                    self.state = State::AttrEntity { quote };
+                                }
+                            }
                         }
                         b'<' => {
                             if !self.emit_error(&mut sp, "'<' inside an attribute value", sink) {
@@ -1286,21 +1339,23 @@ impl Tokenizer {
     fn entity_byte(&mut self, b: u8) -> Result<(), &'static str> {
         if b == b';' {
             let back = self.state;
+            let ent = &self.ent[..self.ent_len];
             match back {
-                State::AttrEntity { .. } => decode_entity(&self.ent, &mut self.value)?,
-                _ => decode_entity(&self.ent, &mut self.text)?,
+                State::AttrEntity { .. } => decode_entity(ent, &mut self.value)?,
+                _ => decode_entity(ent, &mut self.text)?,
             }
-            self.ent.clear();
+            self.ent_len = 0;
             self.state = match back {
                 State::AttrEntity { quote } => State::AttrValue { quote },
                 _ => State::Text,
             };
             Ok(())
         } else if b.is_ascii_alphanumeric() || b == b'#' {
-            if self.ent.len() >= Self::MAX_ENTITY_LEN {
+            if self.ent_len >= MAX_ENTITY_LEN {
                 Err(UNKNOWN_ENTITY)
             } else {
-                self.ent.push(b);
+                self.ent[self.ent_len] = b;
+                self.ent_len += 1;
                 Ok(())
             }
         } else {
@@ -1431,7 +1486,7 @@ impl Tokenizer {
         self.name.clear();
         self.value.clear();
         self.text.clear();
-        self.ent.clear();
+        self.ent_len = 0;
         *sp = Spans::default();
         self.state = State::Text;
         sink(Tag::Error(message))
@@ -1488,7 +1543,7 @@ impl Tokenizer {
                                 State::Lt
                             }
                             b'&' => {
-                                self.ent.clear();
+                                self.ent_len = 0;
                                 State::Entity
                             }
                             _ => {
@@ -1641,7 +1696,7 @@ impl Tokenizer {
                                 State::AttrSpace
                             }
                             (_, b'&') => {
-                                self.ent.clear();
+                                self.ent_len = 0;
                                 State::AttrEntity { quote }
                             }
                             (_, b'<') => {
@@ -1862,7 +1917,7 @@ impl Tokenizer {
                     self.name.clear();
                     self.value.clear();
                     self.text.clear();
-                    self.ent.clear();
+                    self.ent_len = 0;
                     if !sink(Tag::Error(message)) {
                         return false;
                     }
@@ -1872,7 +1927,7 @@ impl Tokenizer {
                     self.name.clear();
                     self.value.clear();
                     self.text.clear();
-                    self.ent.clear();
+                    self.ent_len = 0;
                     if !keep_going || !sink(Tag::Error(message)) {
                         return false;
                     }
@@ -2213,6 +2268,29 @@ mod tests {
             "value buffer grew past the cap: {}",
             t.value.capacity()
         );
+    }
+
+    #[test]
+    fn references_past_the_value_cap_match_the_oracle() {
+        // Decoded references are not held to the value cap; a value filled
+        // to the cap, then carried past it by a reference, still closes at
+        // its quote, and a plain byte after that is the error.
+        let full = "v".repeat(Tokenizer::MAX_VALUE_LEN);
+        for (tail, second) in [("&amp;'/>", None), ("&amp;w'/>", Some(VALUE_TOO_LONG))] {
+            let input = format!("<a x='{full}{tail}");
+            for chunk in [0usize, 1, 7, 4096] {
+                let bulk = scan_with(input.as_bytes(), chunk, false);
+                assert_eq!(
+                    bulk,
+                    scan_with(input.as_bytes(), chunk, true),
+                    "chunk {chunk}"
+                );
+                match second {
+                    None => assert_eq!(bulk[1], format!(" x='{full}&'"), "chunk {chunk}"),
+                    Some(message) => assert_eq!(bulk[1], format!("!{message}"), "chunk {chunk}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -375,7 +375,18 @@ fn steady_state_match_loops_do_not_allocate() {
     // A connection feeds each request body to its route's document in
     // chunks as the socket delivers them, finishes, and feeds the next body
     // to the same document. Warmed, that loop allocates nothing, for plain
-    // and entity-dense markup alike.
+    // and entity-dense markup alike: 5-byte chunks cut every reference at a
+    // chunk edge, while fed whole or in 4 KiB chunks (a ~12 KB body whose
+    // every value and text run carries references) they decode inside the
+    // scan loop.
+    let entity_book = format!(
+        "<book lang=\"a&amp;b\"><front><title>&lt;t&gt;</title><author>a</author></front>\
+         <body><chapter><title>c</title><section><title>s</title>{}</section></chapter>\
+         </body></book>",
+        "<para role=\"a&amp;b &#x2013; &lt;c&gt;\">G &amp; S &#x2013; &quot;vol.&quot; \
+         &#49; &apos;x&apos;</para>"
+            .repeat(120)
+    );
     let mut document = Document::new(std::sync::Arc::clone(&schema), limits);
     let document_round = |document: &mut Document| {
         let mut ok = true;
@@ -383,6 +394,8 @@ fn steady_state_match_loops_do_not_allocate() {
             (xml.as_bytes(), 61),
             (markup_xml.as_bytes(), 61),
             (entity_xml.as_bytes(), 5),
+            (entity_xml.as_bytes(), entity_xml.len()),
+            (entity_book.as_bytes(), 4096),
         ] {
             for _ in 0..3 {
                 for part in body.chunks(chunk) {

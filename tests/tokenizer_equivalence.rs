@@ -45,7 +45,9 @@ impl Rng {
 /// knows about, including constructs it must *reject* identically.
 fn push_fragment(doc: &mut Vec<u8>, rng: &mut Rng) {
     const NAMES: &[&str] = &["a", "doc", "item-x", "ns:tag", "日本語", "_u"];
-    const TEXT: &[&str] = &["", "text", " >>] ?-- ", "a & b", "\n\t "];
+    // `x&lt;` and `&#X41;` put a whole reference right before whatever
+    // fragment follows, often a `<`.
+    const TEXT: &[&str] = &["", "text", " >>] ?-- ", "a & b", "\n\t ", "x&lt;", "&#X41;"];
     match rng.below(18) {
         0 | 1 => {
             // Start tag, possibly with attributes and tricky quotes.
@@ -53,7 +55,29 @@ fn push_fragment(doc: &mut Vec<u8>, rng: &mut Rng) {
             doc.extend_from_slice(rng.pick(NAMES).as_bytes());
             for _ in 0..rng.below(3) {
                 let quote = if rng.below(2) == 0 { b'\'' } else { b'"' };
-                const VALUES: &[&[u8]] = &[b"v", b">", b"/>", b"<", b"'\"", b"&amp;v", b"&x;"];
+                // The in-chunk reference decode's edges: contents of 7, 8,
+                // 10 and 11 bytes, adjacent references, a `;` after a
+                // non-name byte, upper-case hex, and a reference right
+                // before the closing quote.
+                const VALUES: &[&[u8]] = &[
+                    b"v",
+                    b">",
+                    b"/>",
+                    b"<",
+                    b"'\"",
+                    b"&amp;v",
+                    b"&x;",
+                    b"&#x10FFF;",
+                    b"&#x10FFFF;",
+                    b"&#x0010FFFF;",
+                    b"&#x00010FFFF;",
+                    b"&lt;&gt;",
+                    b"&a b;",
+                    b"&a<b;",
+                    b"&;",
+                    b"&#X41;",
+                    b"v&amp;",
+                ];
                 doc.extend_from_slice(b" attr=");
                 doc.push(quote);
                 doc.extend_from_slice(rng.pick(VALUES));
@@ -130,7 +154,8 @@ fn push_fragment(doc: &mut Vec<u8>, rng: &mut Rng) {
         13 => {
             // Entity and character references: the five predefined ones,
             // numeric forms, and bogus ones both scanners must reject at
-            // the same byte.
+            // the same byte — including the in-chunk decode's edges (the
+            // `VALUES` list above has the same cases).
             const REFS: &[&[u8]] = &[
                 b"&amp;",
                 b"&lt;",
@@ -144,6 +169,17 @@ fn push_fragment(doc: &mut Vec<u8>, rng: &mut Rng) {
                 b"&#1114112;",
                 b"& ",
                 b"&unterminated",
+                b"&#x10FFF;",
+                b"&#x10FFFF;",
+                b"&#x0010FFFF;",
+                b"&#x00010FFFF;",
+                b"&lt;&gt;",
+                b"&a b;",
+                b"&a<b;",
+                b"&;",
+                b"&#X41;",
+                b"&amp;<b/>",
+                b"&amp",
             ];
             doc.extend_from_slice(b"pre");
             doc.extend_from_slice(rng.pick(REFS));
@@ -295,6 +331,85 @@ fn full_markup_documents_survive_every_split() {
         let bulk = scan(doc.as_bytes(), chunk, false);
         assert_eq!(bulk, scan(doc.as_bytes(), chunk, true), "chunk {chunk}");
         assert_eq!(normalize(&bulk.0), want, "chunk {chunk}");
+    }
+}
+
+#[test]
+fn whole_references_decode_like_the_oracle_at_every_split() {
+    // A reference whose `;` lies within the eight bytes after its `&`
+    // decodes inside the scan loop when the chunk holds those bytes; any
+    // other reference, or a chunk edge inside the window, takes the
+    // byte-at-a-time path. Every split moves references between the two.
+    let decoded = "<d v='&#x10FFF;' w=\"&#x10FFFF;\" x='&#x0010FFFF;' y=\"&lt;&gt;\" \
+                   z='&#X41;' q=\"v&amp;\">&#x10FFF;|&#x10FFFF;|&#x0010FFFF;|&lt;&gt;|\
+                   &#X41;|x&amp;<e/></d>";
+    let malformed = "<d v='&#x00010FFFF;'/><d v='&a b;'/><d v='&a<b;'/><d v='&;'/>\
+                     <t>&#x00010FFFF;|&a b;|&a<b;|&;|&amp";
+    let cases: [(&str, &[&str], bool); 2] = [
+        (
+            decoded,
+            &[
+                "<d>",
+                " v='\u{10FFF}'",
+                " w='\u{10FFFF}'",
+                " x='\u{10FFFF}'",
+                " y='<>'",
+                " z='A'",
+                " q='v&'",
+                "'\u{10FFF}|\u{10FFFF}|\u{10FFFF}|<>|A|x&'",
+                "<e>",
+                "/>",
+                "</d>",
+            ],
+            true,
+        ),
+        (
+            malformed,
+            // The byte that ends a bad reference is consumed with it,
+            // so `&a<b;` swallows its `<`.
+            &[
+                "<d>",
+                "!unknown entity reference",
+                "';'/>'",
+                "<d>",
+                "!entity reference is missing ';'",
+                "'b;'/>'",
+                "<d>",
+                "!entity reference is missing ';'",
+                "'b;'/>'",
+                "<d>",
+                "!unknown entity reference",
+                "''/>'",
+                "<t>",
+                "!unknown entity reference",
+                "';|'",
+                "!entity reference is missing ';'",
+                "'b;|'",
+                "!entity reference is missing ';'",
+                "'b;|'",
+                "!unknown entity reference",
+                "'|'",
+            ],
+            false,
+        ),
+    ];
+    for (doc, want, idle) in cases {
+        let whole = scan(doc.as_bytes(), 0, false);
+        assert_eq!(normalize(&whole.0), want, "{doc}");
+        assert_eq!(
+            whole.1, idle,
+            "{doc}: only a trailing `&amp` leaves a reference open"
+        );
+        for chunk in 1..=doc.len() {
+            let bulk = scan(doc.as_bytes(), chunk, false);
+            assert_eq!(
+                bulk,
+                scan(doc.as_bytes(), chunk, true),
+                "chunk {chunk}: {doc}"
+            );
+            assert_eq!(normalize(&bulk.0), want, "chunk {chunk}: {doc}");
+            assert_eq!(bulk.1, idle, "chunk {chunk}: {doc}");
+        }
     }
 }
 
